@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-datapath bench-scale bench-parallel lint lint-typed check telemetry-check fuzz-smoke exhibits extensions sweeps examples clean
+.PHONY: all build test bench bench-datapath bench-scale bench-parallel lint lint-typed check telemetry-check fuzz-smoke golden-check golden-rebaseline exhibits extensions sweeps examples clean
 
 all: build
 
@@ -13,19 +13,17 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Datapath guardrails: engine event/timer costs, classic packet
-# forwarding, and the batched breath-loop drain vs its classic twin.
-# Writes BENCH_engine.json; `--guardrail` fails on allocation
-# regressions, on the batched drain dropping below 4x the seed's
-# packets/s, or on batching being slower than classic anywhere.
+# Datapath guardrails: engine event/timer costs, pooled packet
+# forwarding and a backlog drain through one link.  Writes
+# BENCH_engine.json; `--guardrail` fails on allocation regressions
+# (words per event and per forwarded packet against the seed).
 bench-datapath:
 	dune exec bench/datapath.exe -- --guardrail
 
 # Fabric-scale guardrails: minor words/event across 64 -> 4096 host
 # fabrics (two-tier Clos, k=16 fat-tree, three-tier Clos) must stay
-# flat (within 1.15x of the 64-host value), the dense routing lookup
-# must allocate zero minor words over 2M calls, and the batched
-# datapath must not be slower than classic at 64 hosts.  Appends the
+# flat (within 1.15x of the 64-host value) and the dense routing
+# lookup must allocate zero minor words over 2M calls.  Appends the
 # "scale" section to BENCH_engine.json (run bench-datapath first).
 bench-scale:
 	dune exec bench/scale.exe -- --guardrail
@@ -66,14 +64,32 @@ fuzz-smoke:
 	dune exec bin/mtp_sim.exe -- fuzz --replay test/corpus
 	dune exec bin/mtp_sim.exe -- fuzz --cases 200 --seed 1 --budget-s 120
 
+# Golden exhibit digests: re-run `all --smoke` (no timings in its
+# output) and compare one MD5 per exhibit against
+# test/golden/all_smoke.digests, naming every exhibit that changed.
+# About a minute, so it stays out of `dune runtest`.
+golden-check:
+	dune build bin/mtp_sim.exe test/golden/golden.exe
+	./_build/default/bin/mtp_sim.exe all --smoke > _build/golden_smoke.txt
+	./_build/default/test/golden/golden.exe --check test/golden/all_smoke.digests < _build/golden_smoke.txt
+
+# Rewrite the golden digests from the current tree.  Only on purpose:
+# every use must be recorded in CHANGES.md with the exhibit rows that
+# changed (before -> after) and why.
+golden-rebaseline:
+	dune build bin/mtp_sim.exe test/golden/golden.exe
+	./_build/default/bin/mtp_sim.exe all --smoke > _build/golden_smoke.txt
+	./_build/default/test/golden/golden.exe < _build/golden_smoke.txt > test/golden/all_smoke.digests
+
 # CI gate: full build, the test suite, a quick datapath bench that
 # must produce the allocation/throughput guardrail report, the
 # fabric-scale sweep with its words-stay-flat guardrail, the
 # parallel-runner scaling bench with its not-slower guardrail, a
 # shortened failover run exercising fault injection end to end, a
 # parallel `all --smoke` pass regenerating every exhibit on two
-# domains, a telemetry export check (JSONL parses, same-seed runs
-# byte-identical), and the corpus-replay + seeded-fuzz smoke.
+# domains, the golden exhibit digests, a telemetry export check
+# (JSONL parses, same-seed runs byte-identical), and the corpus-replay
+# + seeded-fuzz smoke.
 check:
 	dune build @all
 	$(MAKE) lint
@@ -88,6 +104,7 @@ check:
 	test -f BENCH_parallel.json
 	dune exec bin/mtp_sim.exe -- failover --duration-ms 16 --fail-ms 5 --detect-ms 3 --restore-ms 11
 	dune exec bin/mtp_sim.exe -- all --smoke --jobs 2 > /dev/null
+	$(MAKE) golden-check
 	$(MAKE) telemetry-check
 
 # Run one exhibit twice with telemetry export on: the JSONL trace must

@@ -1,15 +1,14 @@
-(* Datapath guardrail bench: engine event/timer costs, classic
-   packet forwarding, and the batched breath-loop drain.
+(* Datapath guardrail bench: engine event/timer costs, pooled packet
+   forwarding, and a backlog drain through one link.
 
    Three guardrail workloads (event dispatch, timer re-arm, pooled
    packet forward) are compared against the pre-refactor growth-seed
-   baselines; the burst-drain workload measures the batched datapath
-   against its own classic twin and against the seed's packets/s.
-   Results go to stdout and BENCH_engine.json.
+   baselines; the backlog drain is reported alongside them.  Results
+   go to stdout and BENCH_engine.json.
 
-   `--guardrail` additionally enforces the bars (non-zero exit on
-   regression) — wired into `make check` and CI next to the parallel
-   scaling bench. *)
+   `--guardrail` additionally enforces the allocation bars (non-zero
+   exit on regression) — wired into `make check` and CI next to the
+   parallel scaling bench. *)
 
 (* Pre-refactor (closure-heap engine, allocating per-packet datapath)
    numbers, measured with the identical drivers below on the growth
@@ -17,9 +16,9 @@
 let baseline_words_per_event = 18.00
 let baseline_words_per_packet = 74.00
 
-(* Seed packets/s of the per-packet-event datapath on the reference
-   machine (the `pooled packet forward` driver below): the denominator
-   of the batched-drain speedup bar. *)
+(* Seed packets/s of the pooled packet forward driver below on the
+   reference machine, recorded for comparison only: absolute rates
+   depend on the host, so no bar is set on them. *)
 let baseline_packets_per_sec = 2_027_292.
 
 (* Timed runs per workload after the warm-up run.  Best-of-N: the
@@ -86,98 +85,80 @@ let datapath_timer () =
 
 (* Steady-state forwarding over a pooled link: one packet on the wire
    at a time (120 ns serialization at 100G, 1 µs propagation), recycled
-   on delivery.  With a periodic source there is never more than one
-   packet ready per activation, so this measures the unbatchable floor;
-   [batched] picks which link machine pays it. *)
-let datapath_packets ~batched () =
+   on delivery — a lone packet per serialisation, the one-event hop. *)
+let datapath_packets () =
   let n = 100_000 in
-  Netsim.Datapath.with_batching batched (fun () ->
-      measure (fun () ->
-          let sim = Engine.Sim.create () in
-          let pool = Netsim.Packet.pool sim in
-          let link =
-            Netsim.Link.create sim ~name:"wire" ~rate:(Engine.Time.gbps 100)
-              ~delay:(Engine.Time.us 1) ~pool ()
-          in
-          let delivered = ref 0 in
-          Netsim.Link.set_dst link (fun pkt ->
-              incr delivered;
-              Netsim.Packet.release pool pkt);
-          let gap =
-            Engine.Time.tx_time ~bytes:1500 ~rate:(Engine.Time.gbps 100)
-          in
-          let sent = ref 0 in
-          ignore
-          @@ Engine.Sim.periodic sim ~interval:gap (fun () ->
-                 Netsim.Link.send link
-                   (Netsim.Packet.recycle pool ~src:0 ~dst:1 ~size:1500 ());
-                 incr sent;
-                 !sent < n);
-          Engine.Sim.run sim;
-          !delivered))
+  measure (fun () ->
+      let sim = Engine.Sim.create () in
+      let pool = Netsim.Packet.pool sim in
+      let link =
+        Netsim.Link.create sim ~name:"wire" ~rate:(Engine.Time.gbps 100)
+          ~delay:(Engine.Time.us 1) ~pool ()
+      in
+      let delivered = ref 0 in
+      Netsim.Link.set_dst link (fun pkt ->
+          incr delivered;
+          Netsim.Packet.release pool pkt);
+      let gap = Engine.Time.tx_time ~bytes:1500 ~rate:(Engine.Time.gbps 100) in
+      let sent = ref 0 in
+      ignore
+      @@ Engine.Sim.periodic sim ~interval:gap (fun () ->
+             Netsim.Link.send link
+               (Netsim.Packet.recycle pool ~src:0 ~dst:1 ~size:1500 ());
+             incr sent;
+             !sent < n);
+      Engine.Sim.run sim;
+      !delivered)
 
-(* The breath-loop drain: a backlog pushed through a zero-delay link
-   into a burst-aware sink.  Batched links walk the backlog
-   [Datapath.burst_limit] packets per heap event (arithmetic completion
-   times, heap-proven elision); the classic machine pays two events per
-   packet.  Only the drain (the link datapath: dequeue, serialization
-   walk, delivery, sink release) is on the clock — backlog generation
+(* A backlog pushed through a zero-delay link: every packet but the
+   last has a successor waiting, so the link pays a completion and a
+   delivery per packet.  Only the drain (dequeue, serialisation,
+   delivery, sink release) is on the clock — backlog generation
    (recycle + enqueue) happens between timed sections, chunked so the
-   packet pool stays warm.  This is the workload behind the `batched`
-   section of BENCH_engine.json and the >= 4x bar. *)
-let datapath_burst ~batched () =
+   packet pool stays warm. *)
+let datapath_drain () =
   let n = 200_000 in
   let chunk = 1_024 in
-  Netsim.Datapath.with_batching batched (fun () ->
-      let run () =
-        let sim = Engine.Sim.create () in
-        let pool = Netsim.Packet.pool sim in
-        let q = Netsim.Qdisc.fifo ~cap_pkts:(2 * chunk) () in
-        let link =
-          Netsim.Link.create sim ~name:"wire" ~rate:(Engine.Time.gbps 100)
-            ~delay:0 ~qdisc:q ~pool ()
-        in
-        let delivered = ref 0 in
-        Netsim.Link.set_dst link (fun pkt ->
-            incr delivered;
-            Netsim.Packet.release pool pkt);
-        Netsim.Link.set_dst_burst link (fun ~pull ->
-            let continue = ref true in
-            while !continue do
-              match pull () with
-              | Some pkt ->
-                incr delivered;
-                Netsim.Packet.release pool pkt
-              | None -> continue := false
-            done);
-        let secs = ref 0.0 in
-        let words = ref 0.0 in
-        let sent = ref 0 in
-        while !sent < n do
-          let m = min chunk (n - !sent) in
-          for _ = 1 to m do
-            Netsim.Link.send link
-              (Netsim.Packet.recycle pool ~src:0 ~dst:1 ~size:1500 ())
-          done;
-          sent := !sent + m;
-          let w0 = Gc.minor_words () in
-          let t0 = Unix.gettimeofday () in
-          Engine.Sim.run sim;
-          secs := !secs +. (Unix.gettimeofday () -. t0);
-          words := !words +. (Gc.minor_words () -. w0)
-        done;
-        assert (!delivered = n);
-        (!secs, !words)
-      in
-      ignore (run ());
-      let best = ref (infinity, infinity) in
-      for _ = 1 to timed_runs do
-        Gc.minor ();
-        let r = run () in
-        if fst r < fst !best then best := r
+  let run () =
+    let sim = Engine.Sim.create () in
+    let pool = Netsim.Packet.pool sim in
+    let q = Netsim.Qdisc.fifo ~cap_pkts:(2 * chunk) () in
+    let link =
+      Netsim.Link.create sim ~name:"wire" ~rate:(Engine.Time.gbps 100)
+        ~delay:0 ~qdisc:q ~pool ()
+    in
+    let delivered = ref 0 in
+    Netsim.Link.set_dst link (fun pkt ->
+        incr delivered;
+        Netsim.Packet.release pool pkt);
+    let secs = ref 0.0 in
+    let words = ref 0.0 in
+    let sent = ref 0 in
+    while !sent < n do
+      let m = min chunk (n - !sent) in
+      for _ = 1 to m do
+        Netsim.Link.send link
+          (Netsim.Packet.recycle pool ~src:0 ~dst:1 ~size:1500 ())
       done;
-      let secs, words = !best in
-      (words /. float_of_int n, float_of_int n /. secs))
+      sent := !sent + m;
+      let w0 = Gc.minor_words () in
+      let t0 = Unix.gettimeofday () in
+      Engine.Sim.run sim;
+      secs := !secs +. (Unix.gettimeofday () -. t0);
+      words := !words +. (Gc.minor_words () -. w0)
+    done;
+    assert (!delivered = n);
+    (!secs, !words)
+  in
+  ignore (run ());
+  let best = ref (infinity, infinity) in
+  for _ = 1 to timed_runs do
+    Gc.minor ();
+    let r = run () in
+    if fst r < fst !best then best := r
+  done;
+  let secs, words = !best in
+  (words /. float_of_int n, float_of_int n /. secs)
 
 type report = {
   ev_words : float;
@@ -186,21 +167,17 @@ type report = {
   tm_rate : float;
   pk_words : float;
   pk_rate : float;
-  pk_classic_rate : float;
-  burst_words : float;
-  burst_rate : float;
-  burst_classic_rate : float;
+  drain_words : float;
+  drain_rate : float;
 }
 
 let collect () =
   let ev_words, ev_rate = datapath_events () in
   let tm_words, tm_rate = datapath_timer () in
-  let _, pk_classic_rate = datapath_packets ~batched:false () in
-  let pk_words, pk_rate = datapath_packets ~batched:true () in
-  let _, burst_classic_rate = datapath_burst ~batched:false () in
-  let burst_words, burst_rate = datapath_burst ~batched:true () in
-  { ev_words; ev_rate; tm_words; tm_rate; pk_words; pk_rate;
-    pk_classic_rate; burst_words; burst_rate; burst_classic_rate }
+  let pk_words, pk_rate = datapath_packets () in
+  let drain_words, drain_rate = datapath_drain () in
+  { ev_words; ev_rate; tm_words; tm_rate; pk_words; pk_rate; drain_words;
+    drain_rate }
 
 let print_report r =
   Printf.printf "== datapath guardrails ==\n";
@@ -211,18 +188,8 @@ let print_report r =
     r.tm_rate;
   Printf.printf "%-32s %8.2f words/op %12.0f op/s (baseline %.2f)\n"
     "pooled packet forward" r.pk_words r.pk_rate baseline_words_per_packet;
-  Printf.printf "%-32s %21s %12.0f op/s\n" "pooled packet forward (classic)"
-    "" r.pk_classic_rate;
-  Printf.printf "\n== batched breath-loop ==\n";
-  Printf.printf "%-32s %8.2f words/op %12.0f pkt/s\n" "burst drain (batched)"
-    r.burst_words r.burst_rate;
-  Printf.printf "%-32s %21s %12.0f pkt/s\n" "burst drain (classic)" ""
-    r.burst_classic_rate;
-  Printf.printf "%-32s %8.2fx vs seed (%.0f), %.2fx vs per-packet datapath, %.2fx vs classic twin\n"
-    "speedup" (r.burst_rate /. baseline_packets_per_sec)
-    baseline_packets_per_sec
-    (r.burst_rate /. Float.max 1e-9 r.pk_classic_rate)
-    (r.burst_rate /. Float.max 1e-9 r.burst_classic_rate)
+  Printf.printf "%-32s %8.2f words/op %12.0f pkt/s\n" "backlog drain"
+    r.drain_words r.drain_rate
 
 let write_json r =
   let oc = open_out "BENCH_engine.json" in
@@ -237,17 +204,10 @@ let write_json r =
     "minor_words_per_event": %.2f,
     "minor_words_per_timer_rearm": %.2f,
     "minor_words_per_packet": %.2f,
+    "minor_words_per_drain_packet": %.2f,
     "events_per_sec": %.0f,
     "packets_per_sec": %.0f,
-    "classic_packets_per_sec": %.0f
-  },
-  "batched": {
-    "burst_packets_per_sec": %.0f,
-    "burst_classic_packets_per_sec": %.0f,
-    "minor_words_per_burst_packet": %.2f,
-    "speedup_vs_baseline": %.2f,
-    "speedup_vs_classic_forward": %.2f,
-    "speedup_vs_classic": %.2f
+    "drain_packets_per_sec": %.0f
   },
   "reduction": {
     "event_words_factor": %.2f,
@@ -256,24 +216,16 @@ let write_json r =
 }
 |}
     baseline_words_per_event baseline_words_per_packet
-    baseline_packets_per_sec r.ev_words r.tm_words r.pk_words r.ev_rate
-    r.pk_rate r.pk_classic_rate r.burst_rate r.burst_classic_rate
-    r.burst_words
-    (r.burst_rate /. baseline_packets_per_sec)
-    (r.burst_rate /. Float.max 1e-9 r.pk_classic_rate)
-    (r.burst_rate /. Float.max 1e-9 r.burst_classic_rate)
+    baseline_packets_per_sec r.ev_words r.tm_words r.pk_words r.drain_words
+    r.ev_rate r.pk_rate r.drain_rate
     (baseline_words_per_event /. Float.max 1e-9 r.ev_words)
     (baseline_words_per_packet /. Float.max 1e-9 r.pk_words);
   close_out oc;
   Printf.printf "wrote BENCH_engine.json\n"
 
-(* Allocation bars are stable across machines and enforced tightly.
-   The speedup bar is normalized: absolute rates scale with how fast
-   (and how loaded) the machine is, so the 4x requirement is enforced
-   against the classic per-packet datapath measured in the SAME run —
-   whose rate on the reference machine is exactly the recorded
-   [baseline_packets_per_sec].  The unnormalized speedup is still
-   reported in BENCH_engine.json. *)
+(* Allocation bars are stable across machines and enforced tightly;
+   rates are reported but not gated, since they scale with how fast
+   (and how loaded) the machine is. *)
 let guardrail r =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
@@ -283,19 +235,6 @@ let guardrail r =
   if r.pk_words > baseline_words_per_packet *. 1.10 then
     fail "packet words/op %.2f exceeds baseline %.2f + 10%%" r.pk_words
       baseline_words_per_packet;
-  if r.burst_rate < 4.0 *. r.pk_classic_rate then
-    fail
-      "batched drain %.0f pkt/s below 4x the classic per-packet datapath \
-       measured this run (%.0f pkt/s)"
-      r.burst_rate r.pk_classic_rate;
-  (* Not-slower: on the unbatchable single-packet cadence the batched
-     machine must stay within noise of the classic one. *)
-  if r.pk_rate < 0.70 *. r.pk_classic_rate then
-    fail "batched pooled forward %.0f pkt/s below 70%% of classic (%.0f)"
-      r.pk_rate r.pk_classic_rate;
-  if r.burst_rate < r.burst_classic_rate then
-    fail "batched drain %.0f pkt/s slower than classic twin (%.0f)"
-      r.burst_rate r.burst_classic_rate;
   match !failures with
   | [] ->
     Printf.printf "guardrail: OK\n";

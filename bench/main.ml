@@ -10,7 +10,7 @@
    controllers) that dominate simulation cost.
 
    The datapath guardrails (events/sec, packets/sec, minor-heap words
-   per event / per packet, and the batched breath-loop drain) live in
+   per event / per packet, and a backlog drain) live in
    bench/datapath.ml, which writes BENCH_engine.json and enforces the
    regression bars under `--guardrail`. *)
 

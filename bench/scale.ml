@@ -9,18 +9,15 @@
    minor words/event, minor words per delivered packet, packets/s,
    events/s.
 
-   Two more measurements feed the guardrail:
-   - a pure routing-lookup loop (ports_for + ecmp_port on a warmed
-     4096-host edge table) that must allocate nothing at all, and
-   - the 64-host point re-run on the classic (unbatched) datapath as
-     the same-machine not-slower reference.
+   One more measurement feeds the guardrail: a pure routing-lookup
+   loop (ports_for + ecmp_port on a warmed 4096-host edge table) that
+   must allocate nothing at all.
 
    Results append a "scale" section to BENCH_engine.json (created by
    bench/datapath.exe; `make check` runs that first).  `--guardrail`
    enforces: flatness (words/event at 4096 hosts within 1.15x of the
-   64-host value, or both below an absolute allocation-free floor),
-   zero-allocation lookups, and batched not slower than classic at 64
-   hosts. *)
+   64-host value, or both below an absolute allocation-free floor) and
+   zero-allocation lookups. *)
 
 let host_rate = Engine.Time.gbps 10
 let fabric_rate = Engine.Time.gbps 40
@@ -66,8 +63,9 @@ let points =
 
 (* One workload pass: every source streams [pkts_per_source] packets
    to its antipodal host at half line rate, with a fresh flow_hash per
-   packet.  Returns delivered count.  Steady state allocates nothing:
-   packets recycle through the pool and timers re-arm in place. *)
+   packet.  Returns delivered count.  Packets recycle through the pool
+   and timers re-arm in place, so steady-state allocation per event is
+   small and independent of fabric size. *)
 let workload w =
   let nhosts = Array.length w.hosts in
   let pool = Netsim.Packet.pool w.sim in
@@ -176,24 +174,12 @@ type report = {
   pts : point_out list;
   lookup_words : float;
   lookup_rate : float;
-  classic64_pkt_rate : float;
-  batched64_pkt_rate : float;
 }
 
 let collect () =
-  let classic64 =
-    Netsim.Datapath.with_batching false (fun () ->
-        run_point (List.hd points))
-  in
-  let pts =
-    Netsim.Datapath.with_batching true (fun () -> List.map run_point points)
-  in
+  let pts = List.map run_point points in
   let lookup_words, lookup_rate = run_lookup () in
-  { pts;
-    lookup_words;
-    lookup_rate;
-    classic64_pkt_rate = classic64.p_pkt_rate;
-    batched64_pkt_rate = (List.hd pts).p_pkt_rate }
+  { pts; lookup_words; lookup_rate }
 
 let flatness r =
   let wpe label =
@@ -224,9 +210,7 @@ let print_report r =
     "flatness" w64 w4096 flatness_bar flat_floor;
   Printf.printf
     "%-14s %.1f minor words over %d lookups (%.0f lookups/s)\n" "lookup"
-    r.lookup_words lookup_calls r.lookup_rate;
-  Printf.printf "%-14s batched %.0f pkt/s vs classic %.0f pkt/s at 64 hosts\n"
-    "not-slower" r.batched64_pkt_rate r.classic64_pkt_rate
+    r.lookup_words lookup_calls r.lookup_rate
 
 (* Append/replace the "scale" section of BENCH_engine.json in place,
    preserving whatever bench/datapath.exe wrote. *)
@@ -284,9 +268,9 @@ let write_json r =
     r.pts;
   let w64, w4096 = flatness r in
   Printf.fprintf oc
-    "\n    ],\n    \"flatness_words_per_event_64\": %.3f,\n    \"flatness_words_per_event_4096\": %.3f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"lookup_minor_words\": %.1f,\n    \"lookup_calls\": %d,\n    \"lookups_per_sec\": %.0f,\n    \"batched_pkt_rate_64\": %.0f,\n    \"classic_pkt_rate_64\": %.0f\n  }\n}\n"
+    "\n    ],\n    \"flatness_words_per_event_64\": %.3f,\n    \"flatness_words_per_event_4096\": %.3f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"lookup_minor_words\": %.1f,\n    \"lookup_calls\": %d,\n    \"lookups_per_sec\": %.0f\n  }\n}\n"
     w64 w4096 flatness_bar flat_floor r.lookup_words lookup_calls
-    r.lookup_rate r.batched64_pkt_rate r.classic64_pkt_rate;
+    r.lookup_rate;
   close_out oc;
   Printf.printf "wrote BENCH_engine.json (scale section)\n"
 
@@ -303,10 +287,6 @@ let guardrail r =
   if r.lookup_words > 1.0 then
     fail "routing lookup allocated %.1f minor words over %d calls"
       r.lookup_words lookup_calls;
-  if r.batched64_pkt_rate < 0.90 *. r.classic64_pkt_rate then
-    fail
-      "batched fabric %.0f pkt/s below 90%% of classic (%.0f) at 64 hosts"
-      r.batched64_pkt_rate r.classic64_pkt_rate;
   match !failures with
   | [] ->
     Printf.printf "guardrail: OK\n";

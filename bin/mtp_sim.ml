@@ -684,10 +684,10 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:
          "Seeded fuzzing: random bounded scenarios under invariant oracles \
-          (packet conservation, event order, transport state) and \
-          differential pairings (batched vs classic datapath, burst limit \
-          1, inert fault plans, worker-domain runs, partitioned per-leaf \
-          domain runs); failures shrink to replayable corpus files")
+          (packet conservation, event order, link timing, transport \
+          state) and differential pairings (inert fault plans, \
+          worker-domain runs, partitioned per-leaf domain runs); failures \
+          shrink to replayable corpus files")
     Term.(const run $ cases $ fseed $ corpus $ budget $ replay)
 
 let () =

@@ -3,10 +3,10 @@
    shrink failures greedily, and persist them as replayable corpus
    files.
 
+   Every case runs under the full oracle set (conservation ledger,
+   monotone time, link delivery spacing, transport state).
    Differential pairings per case (all must render byte-identical
    digests):
-   - batched vs classic datapath     (Datapath.with_batching)
-   - default vs single-packet bursts (Datapath.with_burst_limit 1)
    - absent vs never-firing fault plan (when the spec has no faults)
    - inline vs worker-domain execution (Runner.Pool, jobs=2)
    - inline vs domains: the partitioned intra-scenario runner
@@ -38,16 +38,6 @@ let run_case ?inject (spec : Spec.t) =
         (fun msg -> Printf.sprintf "differential [%s]: %s" label msg)
         (Diff.compare_outputs ~expect_label:"baseline" ~got_label:label base
            other)
-    in
-    let* () =
-      differential "classic datapath" (fun () ->
-          Netsim.Datapath.with_batching false (fun () ->
-              run_one ?inject ~fault:Scenario.As_spec spec))
-    in
-    let* () =
-      differential "burst_limit=1" (fun () ->
-          Netsim.Datapath.with_burst_limit 1 (fun () ->
-              run_one ?inject ~fault:Scenario.As_spec spec))
     in
     let* () =
       if spec.Spec.faults = [] then
@@ -111,7 +101,7 @@ let run_case ?inject (spec : Spec.t) =
 
 (* Strictly-smaller candidate specs, most aggressive first: drop a
    fault, drop a flow, shrink the topology, halve a flow's size, cut
-   the horizon.  Flow/fault indices survive topology shrinking because
+   the duration.  Flow/fault indices survive topology shrinking because
    the scenario builder reduces them mod the real counts. *)
 let candidates (s : Spec.t) =
   let drop_nth xs n = List.filteri (fun i _ -> i <> n) xs in

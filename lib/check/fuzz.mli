@@ -3,9 +3,10 @@
 
     Each case runs once as specified with the full oracle set
     ({!Ledger}, {!Oracle}) attached, then again under paired
-    configurations — classic datapath, burst limit 1, a never-firing
-    fault plan, worker-domain execution via [Runner.Pool] — asserting
-    byte-identical digests ({!Diff}). *)
+    configurations — a never-firing fault plan, worker-domain
+    execution via [Runner.Pool], and for leaf-spine specs the
+    partitioned runner at jobs 1 vs 2 — asserting byte-identical
+    digests ({!Diff}). *)
 
 type verdict = Pass | Fail of string
 
@@ -17,7 +18,7 @@ val run_case : ?inject:(Scenario.t -> unit) -> Spec.t -> verdict
 val shrink :
   ?inject:(Scenario.t -> unit) -> ?max_steps:int -> Spec.t -> Spec.t
 (** Greedily minimize a failing spec (drop faults/flows, shrink the
-    topology, halve sizes, cut the horizon), keeping any candidate
+    topology, halve sizes, cut the duration), keeping any candidate
     that still fails; returns a local minimum (the input itself if
     nothing smaller fails). *)
 

@@ -5,8 +5,13 @@
    Event order: the engine's heap pops strictly by (time, seq), so any
    packet observed by a tap at a time earlier than a previously
    observed one means an ordering bug (or a component lying about
-   [Sim.now] — the batched datapath's virtual clock jumps are exactly
-   the kind of machinery this guards).
+   [Sim.now]).
+
+   Link timing: a link serialises one packet at a time and delays all
+   of them equally, so two consecutive deliveries can be no closer
+   than the later packet's serialisation time.  This holds for any
+   correct link datapath, so it checks the datapath itself rather
+   than comparing it against a second implementation.
 
    Transport state: completion callbacks fire at most once per
    message; MTP pathlet tables stay internally consistent (the
@@ -33,6 +38,31 @@ let tap m at _p = observe m at
 
 let monotone_result m =
   match m.violation with None -> Ok () | Some msg -> Error msg
+
+type spacing = {
+  s_name : string;
+  s_rate : Engine.Time.rate;
+  mutable s_last : Engine.Time.t;  (* -1 before the first delivery *)
+  mutable s_violation : string option;
+}
+
+let spacing l =
+  { s_name = Netsim.Link.name l; s_rate = Netsim.Link.rate l; s_last = -1;
+    s_violation = None }
+
+let spacing_tap s at (p : Netsim.Packet.t) =
+  let tx = Engine.Time.tx_time ~bytes:p.Netsim.Packet.size ~rate:s.s_rate in
+  if s.s_last >= 0 && at - s.s_last < tx && s.s_violation = None then
+    s.s_violation <-
+      Some
+        (Printf.sprintf
+           "link %s: packet %d delivered at t=%d, %d ns after the previous \
+            delivery, under its %d ns serialisation time"
+           s.s_name p.Netsim.Packet.uid at (at - s.s_last) tx);
+  s.s_last <- at
+
+let spacing_result s =
+  match s.s_violation with None -> Ok () | Some msg -> Error msg
 
 let completions_once counts =
   let bad = ref [] in

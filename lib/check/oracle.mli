@@ -6,9 +6,9 @@
 
 type monotone
 (** Watches a stream of timestamps for regressions — wired as a tap on
-    every link/switch, it asserts the dispatch order the engine
-    guarantees (pops strictly by [(time, seq)]) is never violated by
-    the batched datapath's virtual-clock jumps. *)
+    every link/switch, it asserts that no component observes a time
+    earlier than one already seen (the engine pops strictly by
+    [(time, seq)]). *)
 
 val monotone : unit -> monotone
 
@@ -19,6 +19,23 @@ val tap : monotone -> Engine.Time.t -> Netsim.Packet.t -> unit
 
 val monotone_result : monotone -> (unit, string) result
 (** [Error] describing the first regression, if any was seen. *)
+
+(** {1 Link timing} *)
+
+type spacing
+(** Watches one link's deliveries.  The wire carries one packet at a
+    time, so consecutive deliveries on a link are spaced at least the
+    later packet's serialisation time apart, whatever the queueing,
+    faults or same-instant ordering around them. *)
+
+val spacing : Netsim.Link.t -> spacing
+
+val spacing_tap : spacing -> Engine.Time.t -> Netsim.Packet.t -> unit
+(** Shaped for [Link.add_tap] on the link [spacing] was made for. *)
+
+val spacing_result : spacing -> (unit, string) result
+(** [Error] describing the first too-close pair of deliveries, if
+    any. *)
 
 (** {1 Transport state} *)
 

@@ -6,8 +6,7 @@
    per-stack counters.  The differential runner re-renders the same
    spec under a paired configuration and compares digests
    byte-for-byte — anything a user could see must appear here, and
-   nothing nondeterministic (wall clock, event counts that batching
-   legitimately changes) may. *)
+   nothing nondeterministic (wall clock, engine event counts) may. *)
 
 open Netsim
 
@@ -23,6 +22,7 @@ type t = {
   plan : Fault.t option;
   ledger : Ledger.t;
   monotone : Oracle.monotone;
+  spacings : Oracle.spacing array;
   completions : int array;
   trace : Buffer.t;
   duration : Engine.Time.t;
@@ -146,6 +146,11 @@ let attach_stack transport host =
 
 let msg_port = 5001
 
+let spacing_failures spacings =
+  Array.to_list spacings
+  |> List.filter_map (fun s ->
+         match Oracle.spacing_result s with Ok () -> None | Error m -> Some m)
+
 let build ?(fault : fault_mode = As_spec) (spec : Spec.t) =
   let sim = Engine.Sim.create ~seed:spec.Spec.seed () in
   let topo = Topology.create sim in
@@ -235,7 +240,7 @@ let build ?(fault : fault_mode = As_spec) (spec : Spec.t) =
         faults;
       Some plan
     | Noop, _ ->
-      (* Present but inert: a link_down scheduled past the horizon and
+      (* Present but inert: a link_down scheduled after the run ends and
          a zero-loss Gilbert-Elliott wrapper.  A conforming simulator
          produces byte-identical output with or without it. *)
       let plan = Fault.plan ~seed:(spec.Spec.seed lxor 0xFA171) sim in
@@ -253,6 +258,8 @@ let build ?(fault : fault_mode = As_spec) (spec : Spec.t) =
   let monotone = Oracle.monotone () in
   Array.iter (fun l -> Link.add_tap l (Oracle.tap monotone)) links;
   Array.iter (fun sw -> Switch.add_tap sw (Oracle.tap monotone)) switches;
+  let spacings = Array.map Oracle.spacing links in
+  Array.iteri (fun i l -> Link.add_tap l (Oracle.spacing_tap spacings.(i))) links;
   (* Periodic queue sampler: a dense deterministic probe of queue
      state for the differential comparison. *)
   let interval =
@@ -267,7 +274,8 @@ let build ?(fault : fault_mode = As_spec) (spec : Spec.t) =
            links;
          Engine.Sim.now sim < duration));
   { sim; links; switches; host_wraps; stacks;
-    endpoints = List.rev !endpoints; plan; ledger; monotone; completions;
+    endpoints = List.rev !endpoints; plan; ledger; monotone; spacings;
+    completions;
     trace; duration }
 
 let run t = Engine.Sim.run ~until:t.duration t.sim
@@ -498,6 +506,9 @@ let run_domains ?(jobs = 1) (spec : Spec.t) =
   Array.iteri
     (fun i sw -> Switch.add_tap sw (Oracle.tap monos.(sw_part.(i))))
     switches;
+  (* Spacing watchers are per link, so each belongs to one partition. *)
+  let spacings = Array.map Oracle.spacing links in
+  Array.iteri (fun i l -> Link.add_tap l (Oracle.spacing_tap spacings.(i))) links;
   (* Per-partition queue sampler over the partition's own links,
      keyed by global link index. *)
   let interval = max (Engine.Time.us 40) (duration / 16) in
@@ -522,6 +533,7 @@ let run_domains ?(jobs = 1) (spec : Spec.t) =
         (fun m ->
           match Oracle.monotone_result m with Ok () -> [] | Error e -> [ e ])
         (Array.to_list monos)
+    @ spacing_failures spacings
     @ (match Oracle.completions_once completions with
       | Ok () -> []
       | Error m -> [ m ])
@@ -594,6 +606,7 @@ let run_domains ?(jobs = 1) (spec : Spec.t) =
 
 let oracle_failures t =
   let ledger = Ledger.failures t.ledger in
+  let spacing = spacing_failures t.spacings in
   let monotone =
     match Oracle.monotone_result t.monotone with
     | Ok () -> []
@@ -612,4 +625,4 @@ let oracle_failures t =
         | Error msg -> Some msg)
       t.endpoints
   in
-  ledger @ monotone @ completions @ endpoints
+  ledger @ monotone @ spacing @ completions @ endpoints

@@ -15,7 +15,7 @@ type fault_mode =
   | As_spec  (** Apply the spec's fault list. *)
   | Noop
       (** Install a fault plan that provably never fires inside the
-          run (a down-event past the horizon, a zero-loss
+          run (a down-event after the run ends, a zero-loss
           Gilbert-Elliott wrapper) — output must equal a faultless
           run. *)
 
@@ -26,7 +26,7 @@ val build : ?fault:fault_mode -> Spec.t -> t
     Defaults to [As_spec]. *)
 
 val run : t -> unit
-(** Drive the simulation to the spec's horizon. *)
+(** Drive the simulation to the end of the spec's duration. *)
 
 val digest : t -> string
 (** The rendered observable output (call after {!run}). *)
@@ -51,10 +51,10 @@ val domains_applicable : Spec.t -> bool
     with at least two leaves, or any valid fat-tree). *)
 
 val run_domains : ?jobs:int -> Spec.t -> (string, string) result
-(** Build the partitioned equivalent, run it to the horizon on [jobs]
-    workers, and return the domain-mode digest — or [Error] with the
-    oracle violations.  Byte-identical output for any [jobs] is the
-    contract the fuzz pairing enforces.
+(** Build the partitioned equivalent, run it for the spec's duration
+    on [jobs] workers, and return the domain-mode digest — or [Error]
+    with the oracle violations.  Byte-identical output for any [jobs]
+    is the contract the fuzz pairing enforces.
     @raise Invalid_argument when not {!domains_applicable}. *)
 
 (**/**)

@@ -64,10 +64,6 @@ let min_time t =
   if t.len = 0 then invalid_arg "Eventqueue.min_time: empty";
   t.times.(0)
 
-let min_value t =
-  if t.len = 0 then invalid_arg "Eventqueue.min_value: empty";
-  t.vals.(0)
-
 let min_seq t =
   if t.len = 0 then invalid_arg "Eventqueue.min_seq: empty";
   t.seqs.(0)

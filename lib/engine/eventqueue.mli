@@ -25,10 +25,6 @@ val min_time : 'a t -> int
 (** Time key of the smallest element.  @raise Invalid_argument when
     empty. *)
 
-val min_value : 'a t -> 'a
-(** Payload of the smallest element without removing it.
-    @raise Invalid_argument when empty. *)
-
 val min_seq : 'a t -> int
 (** Sequence number of the smallest element.  @raise Invalid_argument
     when empty. *)

@@ -41,11 +41,6 @@ type t = {
   mutable gens : int array;
   mutable free : int array;
   mutable free_len : int;
-  mutable horizon : Time.t;
-      (* Epoch window bound ([run_before]): the burst-lookahead
-         primitives must not move the clock to or past it, because a
-         cross-partition arrival may still be exchanged in at exactly
-         this instant.  [max_int] outside a window. *)
 }
 
 let gen_bits = 31
@@ -65,8 +60,7 @@ let create ?(seed = 42) () =
     actions = Array.make cap noop;
     gens = Array.make cap 0;
     free = Array.init cap (fun i -> cap - 1 - i);
-    free_len = cap;
-    horizon = max_int }
+    free_len = cap }
 
 let now t = t.clock
 
@@ -171,14 +165,12 @@ let run ?until t =
    clock still lands on [limit], which is legal as a scheduling floor
    because events at [at = now] are allowed. *)
 let run_before t ~limit =
-  t.horizon <- limit;
   let continue = ref true in
   while !continue do
     if Eventqueue.is_empty t.heap then continue := false
     else if Eventqueue.min_time t.heap >= limit then continue := false
     else ignore (step t)
   done;
-  t.horizon <- max_int;
   if t.clock < limit then t.clock <- limit
 
 (* Conservative peek: cancelled events still occupy their heap slot,
@@ -188,25 +180,6 @@ let run_before t ~limit =
 let next_time t =
   if Eventqueue.is_empty t.heap then None
   else Some (Eventqueue.min_time t.heap)
-
-(* Burst lookahead: the primitive behind per-burst datapath events.  A
-   component that knows the exact times of its next sub-events (e.g. a
-   link that planned a whole burst of deliveries) asks the sim whether
-   anything else is due first; if not, the clock jumps straight to the
-   sub-event time and the component proceeds without a heap round-trip.
-   Conservative on cancelled events (their slots still occupy the
-   heap), which only costs a redundant real event, never order. *)
-let try_advance t ~upto =
-  if upto < t.clock then
-    invalid_arg "Sim.try_advance: upto is before now"
-  else if
-    upto < t.horizon
-    && (Eventqueue.is_empty t.heap || Eventqueue.min_time t.heap > upto)
-  then begin
-    t.clock <- upto;
-    true
-  end
-  else false
 
 let pending t = Eventqueue.size t.heap
 
@@ -219,14 +192,11 @@ type timer = {
   tm_sim : t;
   mutable tm_handle : handle;
   mutable tm_action : unit -> unit;
-  mutable tm_plan_at : Time.t;
-  mutable tm_plan_seq : int;  (* -1 = no reservation *)
 }
 
 let timer t f =
   let tm =
-    { tm_sim = t; tm_handle = no_handle; tm_action = noop;
-      tm_plan_at = Time.zero; tm_plan_seq = -1 }
+    { tm_sim = t; tm_handle = no_handle; tm_action = noop }
   in
   tm.tm_action <-
     (fun () ->
@@ -236,106 +206,23 @@ let timer t f =
 
 let arm tm ~at =
   if tm.tm_handle >= 0 then cancel tm.tm_sim tm.tm_handle;
-  tm.tm_plan_seq <- -1;
   tm.tm_handle <- schedule tm.tm_sim ~at tm.tm_action
 
 let arm_after tm dt = arm tm ~at:(tm.tm_sim.clock + dt)
-
-(* Burst walk companion to [try_advance], for a component whose next
-   sub-event is already armed as a real heap event: when that event is
-   the head of the heap, consume it here — clock set to its fire time,
-   slot recycled exactly as [step] would — and let the caller run the
-   work inline, skipping one dispatch round-trip.  Because the event
-   was next anyway, consuming it early is unobservable to every other
-   event.  A live slot index appears in the heap at most once (slots
-   are recycled only when popped), so comparing the root's payload to
-   the timer's slot suffices to identify the timer's own event. *)
-let advance_if_next tm =
-  let t = tm.tm_sim in
-  let h = tm.tm_handle in
-  h >= 0
-  && (not (Eventqueue.is_empty t.heap))
-  && Eventqueue.min_time t.heap < t.horizon
-  && Eventqueue.min_value t.heap = h lsr gen_bits
-  &&
-  let time = Eventqueue.min_time t.heap in
-  let idx = Eventqueue.pop_min t.heap in
-  t.clock <- time;
-  t.actions.(idx) <- noop;
-  t.gens.(idx) <- t.gens.(idx) + 1;
-  t.free.(t.free_len) <- idx;
-  t.free_len <- t.free_len + 1;
-  tm.tm_handle <- no_handle;
-  true
-
-(* Plan/commit: the allocation- and heap-free tail of the burst walk.
-   [plan] reserves the same-instant (FIFO) position a real [arm] would
-   take — one counter bump, no heap insertion.  On resume,
-   [run_plan_inline] proves from the heap root that nothing fires
-   before the reserved (time, seq) and lets the caller run the work
-   inline; when something does intervene, [commit_plan] inserts the
-   firing as a real event WITH its reserved seq, so it keeps exactly
-   the tie order it would have had if armed eagerly.  The heap only
-   orders by (time, seq); it never assumes seqs arrive in insertion
-   order, so committing an old reservation is safe. *)
-
-let plan tm ~at =
-  let t = tm.tm_sim in
-  if at < t.clock then
-    invalid_arg "Sim.plan: at is before now";
-  tm.tm_plan_at <- at;
-  tm.tm_plan_seq <- t.next_seq;
-  t.next_seq <- t.next_seq + 1
-
-let planned tm = tm.tm_plan_seq >= 0
-
-let drop_plan tm = tm.tm_plan_seq <- -1
-
-let run_plan_inline tm =
-  tm.tm_plan_seq >= 0
-  &&
-  let t = tm.tm_sim in
-  tm.tm_plan_at < t.horizon
-  && (Eventqueue.is_empty t.heap
-  ||
-  let mt = Eventqueue.min_time t.heap in
-  mt > tm.tm_plan_at
-  || (mt = tm.tm_plan_at && Eventqueue.min_seq t.heap > tm.tm_plan_seq))
-  && begin
-       t.clock <- tm.tm_plan_at;
-       tm.tm_plan_seq <- -1;
-       true
-     end
-
-let commit_plan tm =
-  if tm.tm_plan_seq >= 0 then begin
-    let t = tm.tm_sim in
-    if tm.tm_handle >= 0 then cancel t tm.tm_handle;
-    if t.free_len = 0 then grow_slots t;
-    let n = t.free_len - 1 in
-    t.free_len <- n;
-    let idx = t.free.(n) in
-    t.actions.(idx) <- tm.tm_action;
-    Eventqueue.add t.heap ~time:tm.tm_plan_at ~seq:tm.tm_plan_seq idx;
-    tm.tm_handle <- (idx lsl gen_bits) lor (t.gens.(idx) land gen_mask);
-    tm.tm_plan_seq <- -1
-  end
 
 let disarm tm =
   if tm.tm_handle >= 0 then begin
     cancel tm.tm_sim tm.tm_handle;
     tm.tm_handle <- no_handle
-  end;
-  tm.tm_plan_seq <- -1
+  end
 
-let armed tm = tm.tm_handle >= 0 || tm.tm_plan_seq >= 0
+let armed tm = tm.tm_handle >= 0
 
 let periodic t ?start ~interval f =
   assert (interval > 0);
   let first = match start with Some s -> s | None -> t.clock + interval in
   let tm =
-    { tm_sim = t; tm_handle = no_handle; tm_action = noop;
-      tm_plan_at = Time.zero; tm_plan_seq = -1 }
+    { tm_sim = t; tm_handle = no_handle; tm_action = noop }
   in
   tm.tm_action <-
     (fun () ->

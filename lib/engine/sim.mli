@@ -16,6 +16,10 @@ type handle
     generation-checked: cancelling after the event fired (or after its
     slot was reused) is a safe no-op. *)
 
+val no_handle : handle
+(** A handle that names no event: cancelling it is a no-op.  Lets a
+    component keep a mutable handle field without an [option]. *)
+
 val create : ?seed:int -> unit -> t
 (** Fresh simulator.  [seed] (default 42) seeds the root {!Rng.t}. *)
 
@@ -64,77 +68,16 @@ val arm_after : timer -> Time.t -> unit
 (** Relative-time {!arm}. *)
 
 val disarm : timer -> unit
-(** Cancel the pending firing (armed or planned), if any. *)
+(** Cancel the pending firing, if any. *)
 
 val armed : timer -> bool
-(** Whether a firing is pending (armed or planned). *)
+(** Whether a firing is pending. *)
 
 val periodic : t -> ?start:Time.t -> interval:Time.t -> (unit -> bool) -> timer
 (** [periodic t ~interval f] runs [f] every [interval] starting at
     [start] (default one interval from now) until [f] returns [false].
     The returned timer can be {!disarm}ed to stop the recurrence
     mid-run. *)
-
-(** {1 Burst lookahead} *)
-
-val try_advance : t -> upto:Time.t -> bool
-(** [try_advance t ~upto] advances the clock to [upto] and returns
-    [true] iff no pending event is due at or before [upto]; otherwise
-    it leaves the clock alone and returns [false] (the caller should
-    fall back to scheduling a real event).  This is the engine side of
-    the batched datapath: a device that planned a whole burst of
-    sub-events (with known times) drains them in one event handler,
-    paying a single integer comparison per sub-event instead of a heap
-    push/pop — while preserving the exact global event order, because
-    the clock only jumps over intervals the heap proves empty.
-    @raise Invalid_argument if [upto] is before [now]. *)
-
-val advance_if_next : timer -> bool
-(** [advance_if_next tm] consumes the timer's pending event iff it is
-    the head of the heap: the clock jumps to the timer's fire time,
-    the event slot is recycled, and the caller runs the timer's work
-    inline — one dispatch round-trip saved.  Returns [false] (and
-    leaves the timer armed, with its original position in the event
-    order) when the timer is disarmed or some other event fires first.
-    The companion to {!try_advance} for walks whose next sub-event has
-    user code scheduled in between: the sub-event must stay armed as a
-    real event to keep its place in the same-instant (FIFO) order, but
-    when it turns out to still be next it can be run without a
-    dispatch. *)
-
-val plan : timer -> at:Time.t -> unit
-(** Reserve the timer's place in the same-instant (FIFO) event order
-    at absolute time [at] {e without touching the heap} — one counter
-    bump.  Events scheduled afterwards at the same instant fire after
-    the planned firing, exactly as if the timer had been {!arm}ed
-    here.  A subsequent {!run_plan_inline} consumes the reservation
-    inline; {!commit_plan} turns it into a real heap event; {!arm} and
-    {!disarm} discard it.  The steady-state tail of the burst walk:
-    together with {!run_plan_inline} it replaces an
-    {!arm}/{!advance_if_next} heap round-trip per sub-event with two
-    integer comparisons.
-    @raise Invalid_argument if [at] is before [now]. *)
-
-val planned : timer -> bool
-(** Whether a reservation from {!plan} is outstanding. *)
-
-val run_plan_inline : timer -> bool
-(** For a planned timer: [true] iff no pending heap event fires before
-    the reserved (time, seq) position; the clock jumps to the planned
-    instant, the reservation is consumed, and the caller runs the
-    timer's work inline.  Returns [false] (reservation kept) when
-    another event intervenes — the caller must then {!commit_plan} (or
-    {!drop_plan}) before returning to the dispatcher, since a bare
-    reservation fires nothing by itself. *)
-
-val commit_plan : timer -> unit
-(** Insert the planned firing into the heap as a real event carrying
-    its reserved seq, preserving the tie order the reservation
-    guaranteed.  No-op when nothing is planned. *)
-
-val drop_plan : timer -> unit
-(** Abandon the reservation without firing.  No-op when nothing is
-    planned. *)
 
 (** {1 Execution} *)
 

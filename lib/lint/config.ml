@@ -24,10 +24,10 @@ type t = {
 
 (* The hot set mirrors the datapath bench: modules on the per-event /
    per-packet path whose allocation behavior is guarded by
-   BENCH_engine.json — including the batched breath-loop modules
-   (pktring carries every burst, node receives them, datapath gates
-   the walk).  Matching is by module basename so a future move (say
-   lib/netsim/link.ml -> lib/datapath/link.ml) keeps the rule. *)
+   BENCH_engine.json (pktring carries every queued and in-flight
+   packet, node receives them).  Matching is by module basename so a
+   future move (say lib/netsim/link.ml -> lib/datapath/link.ml) keeps
+   the rule. *)
 let default =
   { hot_modules =
       [ "eventqueue"; "sim"; "link"; "qdisc"; "switch"; "wire"; "pktring";

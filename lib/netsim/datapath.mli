@@ -1,36 +1,9 @@
-(** Global datapath configuration for the batched breath-loop.
+(** A constant kept for the repository benchmark.
 
-    Links sample {!enabled} once at creation: a link built while
-    batching is on coalesces per-packet transmit/deliver events into
-    per-burst events (identical packet timing, far fewer heap
-    operations); a link built while it is off runs the classic
-    one-event-per-packet datapath.  Flipping the flag never affects
-    links that already exist. *)
+    There is one link datapath (see {!Link} and DESIGN.md "Link
+    datapath").  [perfbench/host_info.ml] records this value in its
+    host record, and the benchmark's files may not change, so the
+    function stays until the next change to the benchmark drops it. *)
 
 val enabled : unit -> bool
-(** Whether links created now use the batched datapath (default
-    [true]). *)
-
-val set_enabled : bool -> unit
-
-val with_batching : bool -> (unit -> 'a) -> 'a
-(** [with_batching v f] runs [f] with the flag set to [v], restoring
-    the previous value afterwards (exception-safe) — the hook the
-    differential oracle uses to run one scenario both ways. *)
-
-val max_burst : int
-(** Maximum packets one burst plan can ever commit to the wire (the
-    size of the per-link completion-time arrays). *)
-
-val burst_limit : unit -> int
-(** The operative per-burst limit: {!max_burst}, optionally clamped
-    down by [MTP_MAX_BURST] in the environment (read once at startup)
-    for debugging and bisection.  Sampled once per burst activation. *)
-
-val with_burst_limit : int -> (unit -> 'a) -> 'a
-(** [with_burst_limit n f] runs [f] with the per-burst limit clamped
-    to [min n max_burst], restoring the previous value afterwards
-    (exception-safe).  [with_burst_limit 1] makes batched links commit
-    one packet per activation — the classic event shape — which the
-    differential oracle compares against the default walk.
-    @raise Invalid_argument when [n < 1]. *)
+(** Whether links use the batched datapath: always [false]. *)

@@ -103,9 +103,6 @@ let lossy t ~doomed q =
   { q with
     Qdisc.name = q.Qdisc.name ^ "+fault";
     enqueue;
-    (* Must be rebuilt from the overriding [enqueue], or bursts would
-       bypass the injected losses. *)
-    enqueue_burst = Qdisc.burst_of_enqueue enqueue;
     drops = (fun () -> q.Qdisc.drops () + !injected) }
 
 let gilbert_elliott t ?(p_gb = 0.001) ?(p_bg = 0.1) ?(loss_good = 0.0)

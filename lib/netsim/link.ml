@@ -1,37 +1,29 @@
 (* A point-to-point link: qdisc + serialisation + propagation delay.
 
-   Two datapaths share one observable model (pinned per link at
-   [create] from [Datapath.enabled]):
+   Two kinds of engine event drive a link:
 
-   - classic: one transmit-completion event and one delivery event per
-     packet — the reference semantics, kept verbatim for the
-     differential oracle;
-   - batched: the same state machine, but a transmit completion walks
-     forward across the following completions inside one event, up to
-     [Datapath.burst_limit] packets per activation.
+   - a delivery per packet, scheduled the moment the packet starts
+     serialising, for [busy_until + delay] — the completion instant is
+     known then, so there is no separate transmit-completion event for
+     a packet that leaves an empty queue behind;
+   - a transmit-completion timer, armed only while a packet waits in
+     the qdisc, that fires at [busy_until] and starts the next head.
+     The qdisc is therefore dequeued at each packet's exact departure
+     instant, so trimming, priority, WRR and dequeue hooks see the same
+     contents they would under one completion event per packet.
 
-   The walk preserves the classic event order exactly, not just
-   approximately.  The rule: an event may be elided only when the heap
-   proves it would have been dispatched next anyway ([Sim.try_advance]
-   for gaps; [Sim.plan]/[Sim.run_plan_inline] reserve the next
-   completion's same-instant position without a heap round-trip), and
-   any event that must survive is armed — or a kept reservation
-   committed with its reserved seq — at precisely the instant the
-   classic machine would have scheduled it, so it carries the same
-   position in the same-instant FIFO order.
-   Ties between one link's completion and another's delivery are
-   common (rates and delays are commensurate, so distinct links
-   collide at the same nanosecond constantly), and queue-depth reads —
-   hence ECN marks, hence throughput — depend on how those ties
-   resolve; keeping the surviving events' (time, seq) keys identical
-   makes batching unobservable, byte-for-byte.  When the heap is busy
-   the walk degrades to one event per packet — the classic shape; when
-   the heap is quiet (a queue draining back-to-back, zero-delay hops)
-   a whole burst runs inline in one event.
+   A lone packet on an idle wire costs one event; n back-to-back
+   packets cost 2n-1.
 
-   In-flight packets sit in a ring; deliveries are FIFO because
-   completion times are monotonic and the propagation delay is
-   constant.  Forwarding a packet allocates nothing in the link.
+   Tie rule: a completion due at the current instant takes effect
+   before an enqueue at that instant.  [send] starts the waiting head
+   first when [busy_until <= now], then enqueues, so marking and
+   drop-tail decisions never count a packet that has already left.
+
+   In-flight packets — the one on the wire at the tail, then every one
+   propagating — sit in a ring; deliveries are FIFO because completion
+   times are monotonic and the propagation delay is constant.
+   Forwarding a packet allocates nothing in the link.
 
    Links can fail ([set_down]/[set_up]): a down link refuses new
    packets, flushes its queue, loses the packet being serialised and
@@ -44,36 +36,33 @@ type t = {
   link_name : string;
   link_rate : Engine.Time.rate;
   link_delay : Engine.Time.t;
-  batched : bool;
   mutable q : Qdisc.t;
   mutable dst : (Packet.t -> unit) option;
-  mutable dst_burst : (pull:(unit -> Packet.t option) -> unit) option;
   mutable taps : (Engine.Time.t -> Packet.t -> unit) list; (* forward order *)
-  mutable transmitting : bool;
   mutable up : bool;
+  (* Bytes of every packet started on the wire, the one still
+     serialising included; [bytes_sent] subtracts [wire_size] while
+     [busy_until] is in the future. *)
   mutable sent_bytes : int;
   mutable n_fault_drops : int;
   (* Conservation-ledger counters: every packet offered to [send] and
-     every packet handed to the destination, whichever datapath.  With
-     the qdisc's own drop count these close the per-link invariant
+     every packet handed to the destination.  With the qdisc's own drop
+     count these close the per-link invariant
      sends = delivered + drops + fault_drops + queued + in-flight. *)
   mutable n_sends : int;
   mutable n_delivered : int;
   flight : Pktring.t;
   pool : Packet.pool option;
-  mutable cur : Packet.t;
-  (* classic machinery *)
-  mutable tx_ev : Engine.Sim.handle option;
-  mutable on_tx_done : unit -> unit;
+  (* Completion instant and size of the last packet started; the wire
+     is busy while [busy_until > now]. *)
+  mutable busy_until : Engine.Time.t;
+  mutable wire_size : int;
+  (* Delivery event of the last packet started, cancelled by
+     [set_down] when that packet is still serialising. *)
+  mutable wire_delivery : Engine.Sim.handle;
   mutable on_deliver : unit -> unit;
-  (* batched machinery: one re-armable timer, the completion time it
-     is (or would be) armed for, the per-activation walk budget, and
-     the hand-off state for pull-driven burst delivery. *)
-  mutable tx_timer : Engine.Sim.timer;
-  mutable b_comp : Engine.Time.t;
-  mutable b_budget : int;
-  mutable b_pending : Packet.t;
-  mutable b_pull : unit -> Packet.t option;
+  (* Armed at [busy_until] exactly while the qdisc is non-empty. *)
+  mutable completion : Engine.Sim.timer;
 }
 
 (* The no-tap guard is load-bearing: [List.iter]'s closure captures
@@ -103,176 +92,35 @@ let drop_faulted t p =
   if Telemetry.Ctx.on () then ev_emit t ~kind:Telemetry.Events.Drop p;
   match t.pool with Some pool -> Packet.release pool p | None -> ()
 
-(* ------------------------- classic datapath ------------------------ *)
-
-let rec transmit_next t =
+(* Start serialising the queue head, if any: its delivery is scheduled
+   at once, and the completion timer is left armed at the new
+   [busy_until] only if another packet is waiting behind it. *)
+let start_head t =
   match t.q.Qdisc.dequeue () with
-  | None ->
-    t.transmitting <- false;
-    t.cur <- Packet.none
+  | None -> ()
   | Some p ->
-    t.transmitting <- true;
-    t.cur <- p;
     if Telemetry.Ctx.on () then ev_emit t ~kind:Telemetry.Events.Dequeue p;
-    let tx = Engine.Time.tx_time ~bytes:p.Packet.size ~rate:t.link_rate in
-    t.tx_ev <- Some (Engine.Sim.after t.sim tx t.on_tx_done)
-
-and tx_done t =
-  let p = t.cur in
-  t.cur <- Packet.none;
-  t.tx_ev <- None;
-  t.sent_bytes <- t.sent_bytes + p.Packet.size;
-  Pktring.push t.flight p;
-  ignore (Engine.Sim.after t.sim t.link_delay t.on_deliver);
-  transmit_next t
-
-(* ------------------------- batched datapath ------------------------ *)
-
-(* Start serialising the queue head: the classic [transmit_next] with
-   the re-armable timer in place of a fresh event.  Never walks — a
-   kick happens inside some other component's handler, and jumping the
-   clock under a caller that has more work to do at the current
-   instant would reorder it. *)
-let b_start t =
-  match t.q.Qdisc.dequeue () with
-  | None ->
-    t.transmitting <- false;
-    t.cur <- Packet.none
-  | Some p ->
-    t.transmitting <- true;
-    t.cur <- p;
-    if Telemetry.Ctx.on () then ev_emit t ~kind:Telemetry.Events.Dequeue p;
-    t.b_comp <-
-      Engine.Sim.now t.sim
-      + Engine.Time.tx_time ~bytes:p.Packet.size ~rate:t.link_rate;
-    Engine.Sim.arm t.tx_timer ~at:t.b_comp
-
-(* One walk step, entered at the completion instant of [t.cur].  Runs
-   the classic [tx_done] bookkeeping, pulls the next packet, and walks
-   on across completions the heap proves uncontested.  Returns a
-   packet to hand over inline — possible only on zero-delay hops whose
-   delivery event would have been dispatched next anyway — or
-   [Packet.none] once the activation has finished its own arming.
-
-   Wall-order discipline, mirrored from classic [tx_done]: the
-   delivery is scheduled (or its elision decided) before the dequeue
-   of the next packet, and the next completion is armed after it —
-   the same scheduling order, so every surviving event keeps its
-   classic position among same-instant events. *)
-let rec b_step t =
-  t.b_budget <- t.b_budget - 1;
-  let p = t.cur in
-  t.cur <- Packet.none;
-  t.sent_bytes <- t.sent_bytes + p.Packet.size;
-  let now = Engine.Sim.now t.sim in
-  let inline_ok =
-    t.link_delay = 0
-    && t.b_budget > 0
-    && Engine.Sim.try_advance t.sim ~upto:now
-  in
-  if not inline_ok then begin
+    let size = p.Packet.size in
+    t.busy_until <-
+      Engine.Sim.now t.sim + Engine.Time.tx_time ~bytes:size ~rate:t.link_rate;
+    t.wire_size <- size;
+    t.sent_bytes <- t.sent_bytes + size;
     Pktring.push t.flight p;
-    ignore (Engine.Sim.after t.sim t.link_delay t.on_deliver)
-  end;
-  (match t.q.Qdisc.dequeue () with
-  | None -> t.transmitting <- false
-  | Some np ->
-    t.cur <- np;
-    if Telemetry.Ctx.on () then ev_emit t ~kind:Telemetry.Events.Dequeue np;
-    t.b_comp <-
-      now + Engine.Time.tx_time ~bytes:np.Packet.size ~rate:t.link_rate);
-  if inline_ok then begin
-    (* The inline delivery runs user code; the next completion must
-       already hold its classic place in the event order before that
-       code can schedule anything.  [plan] reserves exactly the seq an
-       [arm] here would take — without the heap insertion — and the
-       driver resumes with [run_plan_inline], or commits the
-       reservation as a real event if something intervenes. *)
-    if t.cur != Packet.none then Engine.Sim.plan t.tx_timer ~at:t.b_comp;
-    p
-  end
-  else if t.cur == Packet.none then Packet.none
-  else if t.b_budget > 0 && Engine.Sim.try_advance t.sim ~upto:t.b_comp then
-    (* Nothing is due before the next completion: the classic event
-       would be dispatched next, so elide it and keep walking. *)
-    b_step t
-  else begin
-    Engine.Sim.arm t.tx_timer ~at:t.b_comp;
-    Packet.none
-  end
-
-(* The pull handed to a burst-aware destination ({!set_dst_burst}):
-   each call resumes the walk and yields the next inline delivery —
-   taps applied at its arrival instant — or [None] once the
-   activation is over.  After each handed-out packet the downstream
-   code may have scheduled events or re-kicked the link;
-   [run_plan_inline] re-decides from the heap root whether our
-   reserved completion still fires before anything else. *)
-let pull_step t =
-  let p =
-    if t.b_pending != Packet.none then begin
-      let p = t.b_pending in
-      t.b_pending <- Packet.none;
-      p
-    end
-    else if t.b_budget > 0 && Engine.Sim.run_plan_inline t.tx_timer then
-      b_step t
-    else Packet.none
-  in
-  if p == Packet.none then None
-  else begin
-    t.n_delivered <- t.n_delivered + 1;
-    (* Guarded as in [deliver]: the iteration closure would allocate. *)
-    if t.taps != [] then
-      List.iter (fun f -> f (Engine.Sim.now t.sim) p) t.taps;
-    Some p
-  end
-
-(* Timer activation: walk, delivering inline packets between steps.
-   With a burst-aware destination the whole activation is one call —
-   the destination drains the pull itself (e.g. a switch routing the
-   burst in one pass); otherwise each packet goes through the
-   per-packet destination. *)
-let b_activation t =
-  t.b_budget <- Datapath.burst_limit ();
-  let p = b_step t in
-  if p != Packet.none then begin
-    match t.dst_burst with
-    | Some f ->
-      t.b_pending <- p;
-      f ~pull:t.b_pull
-    | None ->
-      let pending = ref p in
-      while !pending != Packet.none do
-        deliver t !pending;
-        pending :=
-          if t.b_budget > 0 && Engine.Sim.run_plan_inline t.tx_timer then
-            b_step t
-          else Packet.none
-      done
-  end;
-  (* A reservation the walk could not run inline (budget exhausted, or
-     an interleaving event) must become a real heap event before we
-     return to the dispatcher. *)
-  if Engine.Sim.planned t.tx_timer then Engine.Sim.commit_plan t.tx_timer
-
-(* ----------------------------- common ------------------------------ *)
+    t.wire_delivery <-
+      Engine.Sim.schedule t.sim ~at:(t.busy_until + t.link_delay) t.on_deliver;
+    if t.q.Qdisc.pkt_length () > 0 then
+      Engine.Sim.arm t.completion ~at:t.busy_until
+    else Engine.Sim.disarm t.completion
 
 let create sim ~name ~rate ~delay ?qdisc ?pool () =
   let q = match qdisc with Some q -> q | None -> Qdisc.fifo ~cap_pkts:1000 () in
-  let batched = Datapath.enabled () in
-  let dummy = Engine.Sim.timer sim (fun () -> ()) in
   let t =
-    { sim; link_name = name; link_rate = rate; link_delay = delay; batched; q;
-      dst = None; dst_burst = None; taps = []; transmitting = false;
-      up = true; sent_bytes = 0; n_fault_drops = 0; n_sends = 0;
-      n_delivered = 0; cur = Packet.none;
-      tx_ev = None; flight = Pktring.create (); pool;
-      on_tx_done = ignore; on_deliver = ignore;
-      tx_timer = dummy; b_comp = 0; b_budget = 0;
-      b_pending = Packet.none; b_pull = (fun () -> None) }
+    { sim; link_name = name; link_rate = rate; link_delay = delay; q;
+      dst = None; taps = []; up = true; sent_bytes = 0; n_fault_drops = 0;
+      n_sends = 0; n_delivered = 0; flight = Pktring.create (); pool;
+      busy_until = Engine.Time.zero; wire_size = 0; wire_delivery = Engine.Sim.no_handle;
+      on_deliver = ignore; completion = Engine.Sim.timer sim ignore }
   in
-  t.on_tx_done <- (fun () -> tx_done t);
   t.on_deliver <-
     (fun () ->
       (* Packets still propagating when the link went down are lost
@@ -280,8 +128,7 @@ let create sim ~name ~rate ~delay ?qdisc ?pool () =
          flight ring in order). *)
       let p = Pktring.pop t.flight in
       if t.up then deliver t p else drop_faulted t p);
-  t.tx_timer <- Engine.Sim.timer sim (fun () -> b_activation t);
-  t.b_pull <- (fun () -> pull_step t);
+  t.completion <- Engine.Sim.timer sim (fun () -> start_head t);
   (* Queue-depth, drop, mark and trim metrics; gauges read the live
      qdisc (through [t], so [set_qdisc] swaps are followed) and cost
      nothing until a snapshot samples them. *)
@@ -304,17 +151,24 @@ let create sim ~name ~rate ~delay ?qdisc ?pool () =
 
 let set_dst t handler = t.dst <- Some handler
 
-let set_dst_burst t handler = t.dst_burst <- Some handler
-
 (* simlint: allow H101 — topology wiring, runs once per tap at setup *)
 let add_tap t f = t.taps <- t.taps @ [ f ]
 
+(* After an accepted enqueue: start the packet at once on an idle wire,
+   otherwise make sure the completion timer will fetch it. *)
 let kick t =
-  if not t.transmitting then
-    if t.batched then b_start t else transmit_next t
+  if t.busy_until <= Engine.Sim.now t.sim then start_head t
+  else if not (Engine.Sim.armed t.completion) then
+    Engine.Sim.arm t.completion ~at:t.busy_until
 
 let send t p =
   t.n_sends <- t.n_sends + 1;
+  (* Tie rule: a completion due now leaves before this packet arrives,
+     so the enqueue below never sees the departed head. *)
+  if
+    t.busy_until <= Engine.Sim.now t.sim
+    && Engine.Sim.armed t.completion
+  then start_head t;
   if not t.up then drop_faulted t p
   else if not (Telemetry.Ctx.on ()) then begin
     (* Uninstrumented fast path: byte-for-byte the pre-telemetry code. *)
@@ -352,21 +206,18 @@ let is_up t = t.up
 let set_down t =
   if t.up then begin
     t.up <- false;
-    (* Abort the serialisation in progress.  Fully serialised packets
-       stay in flight and are lost (or delivered, if the link is
-       revived in time) at their arrival instant. *)
-    if t.batched then Engine.Sim.disarm t.tx_timer
-    else (
-      match t.tx_ev with
-      | Some ev ->
-        Engine.Sim.cancel t.sim ev;
-        t.tx_ev <- None
-      | None -> ());
-    if t.cur != Packet.none then begin
-      drop_faulted t t.cur;
-      t.cur <- Packet.none
+    Engine.Sim.disarm t.completion;
+    (* Abort the serialisation in progress: the packet on the wire is
+       the newest in flight.  Fully serialised packets stay in flight
+       and are lost (or delivered, if the link is revived in time) at
+       their arrival instant. *)
+    let now = Engine.Sim.now t.sim in
+    if t.busy_until > now then begin
+      Engine.Sim.cancel t.sim t.wire_delivery;
+      t.sent_bytes <- t.sent_bytes - t.wire_size;
+      t.busy_until <- now;
+      drop_faulted t (Pktring.pop_back t.flight)
     end;
-    t.transmitting <- false;
     (* Flush the queue: a dead link holds no packets. *)
     let rec flush () =
       match t.q.Qdisc.dequeue () with
@@ -378,27 +229,25 @@ let set_down t =
     flush ()
   end
 
-let set_up t =
-  if not t.up then begin
-    t.up <- true;
-    kick t
-  end
+(* [set_down] left the queue empty and sends while down were dropped,
+   so there is nothing to restart. *)
+let set_up t = t.up <- true
 
 let rate t = t.link_rate
 let delay t = t.link_delay
 let name t = t.link_name
 
-let bytes_sent t = t.sent_bytes
+let busy t = t.busy_until > Engine.Sim.now t.sim
 
-let busy t = t.transmitting
+let bytes_sent t = if busy t then t.sent_bytes - t.wire_size else t.sent_bytes
+
 let fault_drops t = t.n_fault_drops
 let sends t = t.n_sends
 let delivered_pkts t = t.n_delivered
 
 let queued_pkts t = t.q.Qdisc.pkt_length ()
 
-let in_flight_pkts t =
-  Pktring.length t.flight + if t.transmitting then 1 else 0
+let in_flight_pkts t = Pktring.length t.flight
 
 let utilization t ~since =
   let elapsed = Engine.Sim.now t.sim - since in

@@ -8,19 +8,17 @@
     standard store-and-forward model used by ns-3 point-to-point
     links.
 
-    Links built while {!Datapath.enabled} is set (the default) run the
-    batched datapath: one timer activation walks up to
-    [Datapath.burst_limit] back-to-back completions, computing each
-    completion instant arithmetically and eliding heap events the
-    engine proves uncontested ([Sim.try_advance] for gaps,
-    [Sim.plan]/[Sim.run_plan_inline] for the next completion's
-    same-instant position).  Zero-delay deliveries ride the walk
-    inline; delayed hops schedule one real delivery event per packet at
-    its exact classic instant.  Packet timing, queue decisions and
-    every observable counter are identical to the classic
-    one-event-per-packet machine — the differential oracle in the test
-    suite runs both and compares outputs (see DESIGN.md "Batched
-    datapath"). *)
+    Engine cost: when a packet starts serialising, its delivery is
+    scheduled at once for its completion instant plus [delay].  A
+    transmit-completion event exists only while a packet waits in the
+    qdisc; it fires at the wire's completion instant and starts the
+    next head.  A packet that leaves an empty queue behind therefore
+    costs one engine event, and n back-to-back packets cost 2n-1.
+
+    Same-instant rule: a completion due at the current instant takes
+    effect before an enqueue at that instant, so queue-depth decisions
+    (ECN, RED, drop-tail) never count a packet that has already left.
+    See DESIGN.md "Link datapath". *)
 
 type t
 
@@ -40,17 +38,6 @@ val create :
     packets. *)
 
 val set_dst : t -> (Packet.t -> unit) -> unit
-
-val set_dst_burst : t -> (pull:(unit -> Packet.t option) -> unit) -> unit
-(** Optional batch receiver, used by batched links instead of calling
-    {!set_dst}'s handler once per packet: when at least one delivery is
-    ready the link invokes the handler ONCE with a [pull] function that
-    yields consecutive arrivals (advancing the virtual clock to each
-    packet's own delivery time) until the next arrival needs a real
-    event, then returns [None].  The handler must keep pulling until
-    [None] or arrivals would stall.  Taps fire inside [pull].  Classic
-    links ignore this and always use the per-packet destination, which
-    must still be wired for links carrying taps or for fallback. *)
 
 val add_tap : t -> (Engine.Time.t -> Packet.t -> unit) -> unit
 (** Observe every delivered packet (after serialization and
@@ -78,8 +65,7 @@ val set_down : t -> unit
     {!send} drops immediately.  Idempotent. *)
 
 val set_up : t -> unit
-(** Revive a failed link; the transmitter resumes draining the qdisc.
-    Idempotent. *)
+(** Revive a failed link: {!send} accepts packets again.  Idempotent. *)
 
 val fault_drops : t -> int
 (** Packets lost to {!set_down} (aborted, flushed, in-flight at
@@ -89,7 +75,7 @@ val sends : t -> int
 (** Packets ever offered to {!send} (accepted or not). *)
 
 val delivered_pkts : t -> int
-(** Packets handed to the destination (either datapath).  Together
+(** Packets handed to the destination.  Together
     with the qdisc drop counter these close the per-link conservation
     invariant the [Check.Ledger] oracle asserts:
     [sends = delivered_pkts + qdisc drops + fault_drops + queued_pkts
@@ -106,7 +92,8 @@ val delay : t -> Engine.Time.t
 val name : t -> string
 
 val bytes_sent : t -> int
-(** Bytes fully serialized onto the wire so far. *)
+(** Bytes fully serialized onto the wire so far (the packet still
+    serialising is not counted). *)
 
 val busy : t -> bool
 (** Whether the transmitter currently holds a packet. *)

@@ -34,11 +34,6 @@ val receive : t -> Packet.t -> unit
 (** Deliver a packet to the host's current handler (dropped with a
     count if none is installed). *)
 
-val receive_burst : t -> pull:(unit -> Packet.t option) -> unit
-(** Batch twin of {!receive}, wired with {!Link.set_dst_burst}: drains
-    a whole delivery chain in one call, handing each packet to the
-    handler at its own arrival time. *)
-
 val set_handler : t -> (Packet.t -> unit) -> unit
 
 val handler : t -> (Packet.t -> unit) option

@@ -9,8 +9,7 @@ type proto += Raw
    immutable.  The per-hop status bits (ECN CE, trimmed) live packed
    in one immediate [flags] word rather than as separate bool fields:
    the record stays one word smaller, a pool recycle resets both with
-   a single store, and the batched datapath copies hot metadata with
-   fewer loads. *)
+   a single store. *)
 type t = {
   mutable uid : int;
   mutable src : addr;

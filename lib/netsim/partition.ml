@@ -208,7 +208,6 @@ let leaf_spine ?(seed = 42) ~leaves ~spines ~hosts_per_leaf ~host_rate
         Link.create (sim t src_part) ~name ~rate:fabric_rate ~delay ?qdisc ()
       in
       Link.set_dst link (Switch.receive deliver_sw);
-      Link.set_dst_burst link (Switch.receive_burst deliver_sw);
       link
     end
     else
@@ -365,7 +364,6 @@ let fat_tree ?(seed = 42) ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ()
           ~rate:fabric_rate ~delay ?qdisc ()
       in
       Link.set_dst up (Switch.receive aggs.(ai));
-      Link.set_dst_burst up (Switch.receive_burst aggs.(ai));
       let up_port = Switch.add_port edges.(ei) up in
       record pod up;
       let down =
@@ -375,7 +373,6 @@ let fat_tree ?(seed = 42) ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ()
           ~rate:fabric_rate ~delay ()
       in
       Link.set_dst down (Switch.receive edges.(ei));
-      Link.set_dst_burst down (Switch.receive_burst edges.(ei));
       let down_port = Switch.add_port aggs.(ai) down in
       record pod down;
       Routing.add_range agg_routes.(ai) ~lo:my_lo ~hi:my_hi down_port;
@@ -393,7 +390,6 @@ let fat_tree ?(seed = 42) ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ()
         Link.create (sim t src_part) ~name ~rate:fabric_rate ~delay ?qdisc ()
       in
       Link.set_dst link (Switch.receive deliver_sw);
-      Link.set_dst_burst link (Switch.receive_burst deliver_sw);
       link
     end
     else

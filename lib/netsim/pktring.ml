@@ -62,8 +62,7 @@ let pop_back t =
   p
 
 (* Batch move: pops up to [max] packets from [src] and pushes them onto
-   [dst] in FIFO order.  The hot-path building block for draining a
-   qdisc into the link's in-flight ring in one call. *)
+   [dst] in FIFO order. *)
 let transfer ~src ~dst ~max =
   let n = if max < src.len then max else src.len in
   for _ = 1 to n do

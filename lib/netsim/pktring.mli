@@ -27,8 +27,8 @@ val get : t -> int -> Packet.t
 
 val pop_back : t -> Packet.t
 (** Remove and return the newest (most recently pushed) packet — used
-    by the batched link to un-commit the not-yet-serialized tail of a
-    burst when the link fails.
+    by a failing link to take back the packet it was still
+    serialising.
     @raise Invalid_argument when empty. *)
 
 val transfer : src:t -> dst:t -> max:int -> int

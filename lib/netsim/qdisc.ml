@@ -2,9 +2,6 @@ type t = {
   name : string;
   enqueue : Packet.t -> bool;
   dequeue : unit -> Packet.t option;
-  enqueue_burst : Pktring.t -> rejects:Pktring.t -> int;
-  dequeue_burst : Pktring.t -> max:int -> int;
-  burst_safe : bool;
   byte_length : unit -> int;
   pkt_length : unit -> int;
   drops : unit -> int;
@@ -41,40 +38,7 @@ module F = struct
       f.bytes <- f.bytes - p.Packet.size;
       Some p
     end
-
-  (* Drain up to [max] packets into [dst] in one pass: no option
-     boxing, one bookkeeping update per packet. *)
-  let pop_into f dst ~max =
-    let n = min max (Pktring.length f.ring) in
-    for _ = 1 to n do
-      let p = Pktring.pop f.ring in
-      f.bytes <- f.bytes - p.Packet.size;
-      Pktring.push dst p
-    done;
-    n
 end
-
-(* Fallback burst ops, built from the per-packet closures so marking,
-   trimming and refusal decisions stay exactly per-packet. *)
-let burst_of_enqueue enqueue src ~rejects =
-  let accepted = ref 0 in
-  while not (Pktring.is_empty src) do
-    let p = Pktring.pop src in
-    if enqueue p then incr accepted else Pktring.push rejects p
-  done;
-  !accepted
-
-let burst_of_dequeue dequeue dst ~max =
-  let n = ref 0 in
-  let continue = ref true in
-  while !continue && !n < max do
-    match dequeue () with
-    | Some p ->
-      Pktring.push dst p;
-      incr n
-    | None -> continue := false
-  done;
-  !n
 
 let fifo ?cap_bytes ~cap_pkts () =
   let f = F.create () in
@@ -97,9 +61,6 @@ let fifo ?cap_bytes ~cap_pkts () =
   { name = "fifo";
     enqueue;
     dequeue = (fun () -> F.pop f);
-    enqueue_burst = burst_of_enqueue enqueue;
-    dequeue_burst = (fun dst ~max -> F.pop_into f dst ~max);
-    burst_safe = true;
     byte_length = (fun () -> F.bytes f);
     pkt_length = (fun () -> F.len f);
     drops = (fun () -> !drops);
@@ -117,8 +78,7 @@ let ecn ?cap_bytes ~cap_pkts ~mark_threshold () =
     end;
     inner.enqueue p
   in
-  { inner with name = "ecn"; enqueue;
-    enqueue_burst = burst_of_enqueue enqueue; marks = (fun () -> !marks) }
+  { inner with name = "ecn"; enqueue; marks = (fun () -> !marks) }
 
 let red ~rng ?(weight = 0.002) ?(max_p = 0.1) ~cap_pkts ~min_th ~max_th () =
   if not (0 <= min_th && min_th < max_th && max_th <= cap_pkts) then
@@ -147,8 +107,7 @@ let red ~rng ?(weight = 0.002) ?(max_p = 0.1) ~cap_pkts ~min_th ~max_th () =
     end;
     inner.enqueue p
   in
-  { inner with name = "red"; enqueue;
-    enqueue_burst = burst_of_enqueue enqueue; marks = (fun () -> !marks) }
+  { inner with name = "red"; enqueue; marks = (fun () -> !marks) }
 
 let trimming ~cap_pkts ~header_size () =
   let data = F.create () in
@@ -179,9 +138,6 @@ let trimming ~cap_pkts ~header_size () =
   { name = "trimming";
     enqueue;
     dequeue;
-    enqueue_burst = burst_of_enqueue enqueue;
-    dequeue_burst = burst_of_dequeue dequeue;
-    burst_safe = false;
     byte_length = (fun () -> F.bytes data + F.bytes headers);
     pkt_length = (fun () -> F.len data + F.len headers);
     drops = (fun () -> !drops);
@@ -214,9 +170,6 @@ let priority ~levels ~cap_pkts () =
   { name = "priority";
     enqueue;
     dequeue;
-    enqueue_burst = burst_of_enqueue enqueue;
-    dequeue_burst = burst_of_dequeue dequeue;
-    burst_safe = false;
     byte_length = (fun () -> sum F.bytes);
     pkt_length = (fun () -> sum F.len);
     drops = (fun () -> !drops);
@@ -284,9 +237,6 @@ let wrr ?mark_threshold ~classify ~weights ~cap_pkts () =
   { name = "wrr";
     enqueue;
     dequeue;
-    enqueue_burst = burst_of_enqueue enqueue;
-    dequeue_burst = burst_of_dequeue dequeue;
-    burst_safe = false;
     byte_length = (fun () -> sum F.bytes);
     pkt_length = (fun () -> sum F.len);
     drops = (fun () -> !drops);
@@ -342,8 +292,7 @@ let fair_mark ~classify ?shares ~cap_pkts ~mark_threshold () =
     end;
     inner.enqueue p
   in
-  { inner with name = "fair_mark"; enqueue;
-    enqueue_burst = burst_of_enqueue enqueue; marks = (fun () -> !marks) }
+  { inner with name = "fair_mark"; enqueue; marks = (fun () -> !marks) }
 
 let with_hooks ?on_enqueue ?on_drop ?on_dequeue inner =
   let run hook p = match hook with None -> () | Some f -> f p in
@@ -364,14 +313,4 @@ let with_hooks ?on_enqueue ?on_drop ?on_dequeue inner =
       run on_dequeue p;
       Some p
   in
-  (* A dequeue hook observes per-packet dequeue instants, which burst
-     draining would collapse to the burst-plan time — so its presence
-     forfeits burst safety.  Enqueue/drop hooks fire at enqueue time
-     either way. *)
-  let dequeue_burst, burst_safe =
-    match on_dequeue with
-    | None -> (inner.dequeue_burst, inner.burst_safe)
-    | Some _ -> (burst_of_dequeue dequeue, false)
-  in
-  { inner with enqueue; dequeue;
-    enqueue_burst = burst_of_enqueue enqueue; dequeue_burst; burst_safe }
+  { inner with enqueue; dequeue }

@@ -10,23 +10,6 @@ type t = {
       (** [false] means the packet was dropped (or, for a trimming
           qdisc, note the packet may be mutated and still accepted). *)
   dequeue : unit -> Packet.t option;
-  enqueue_burst : Pktring.t -> rejects:Pktring.t -> int;
-      (** Drain [src] into the queue, applying the same per-packet
-          accept/mark/trim decisions as {!enqueue}; refused packets go
-          to [rejects] (for the caller to count and release).  Returns
-          the number accepted. *)
-  dequeue_burst : Pktring.t -> max:int -> int;
-      (** Drain up to [max] head packets into the destination ring in
-          one pass; returns how many were moved.  Decision-equivalent
-          to [max] calls of {!dequeue}. *)
-  burst_safe : bool;
-      (** Whether draining a multi-packet burst with {!dequeue_burst}
-          at a single instant changes any observable decision.  True
-          for policies whose dequeue order and side effects do not
-          depend on the between-packet instants (fifo and its marking
-          wrappers); false for order-sensitive ones (trimming,
-          priority, wrr, dequeue hooks), which a batch consumer must
-          drain one packet per decision instant. *)
   byte_length : unit -> int;  (** Bytes currently queued. *)
   pkt_length : unit -> int;  (** Packets currently queued. *)
   drops : unit -> int;  (** Packets dropped since creation. *)
@@ -34,15 +17,6 @@ type t = {
   trims : unit -> int;  (** Packets trimmed to headers since creation. *)
   max_bytes_seen : unit -> int;  (** High-watermark of queued bytes. *)
 }
-
-val burst_of_enqueue :
-  (Packet.t -> bool) -> Pktring.t -> rejects:Pktring.t -> int
-(** Build {!t.enqueue_burst} from a per-packet enqueue — the fallback
-    used by every constructor and by wrappers ({!Fault.lossy}) whose
-    enqueue overrides the inner one. *)
-
-val burst_of_dequeue : (unit -> Packet.t option) -> Pktring.t -> max:int -> int
-(** Build {!t.dequeue_burst} from a per-packet dequeue. *)
 
 val fifo : ?cap_bytes:int -> cap_pkts:int -> unit -> t
 (** Drop-tail FIFO bounded by packets and optionally bytes. *)

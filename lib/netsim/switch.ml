@@ -65,15 +65,19 @@ let inject t ~port p =
   t.n_forwarded <- t.n_forwarded + 1;
   Link.send t.ports.(port) p
 
+(* Top-level, so walking the hook list builds no closure per packet. *)
+let rec run_hooks p = function
+  | [] -> Continue
+  | hook :: rest -> (
+    match hook p with Absorb -> Absorb | Continue -> run_hooks p rest)
+
+(* The no-tap guard is load-bearing: [List.iter]'s closure captures [t]
+   and [p], so building it unconditionally would allocate on every
+   packet even when no tap is installed. *)
 let receive t p =
   t.n_received <- t.n_received + 1;
-  List.iter (fun f -> f (Engine.Sim.now t.sim) p) t.taps;
-  let rec run_hooks = function
-    | [] -> Continue
-    | hook :: rest -> (
-      match hook p with Absorb -> Absorb | Continue -> run_hooks rest)
-  in
-  match run_hooks t.hooks with
+  if t.taps != [] then List.iter (fun f -> f (Engine.Sim.now t.sim) p) t.taps;
+  match run_hooks p t.hooks with
   | Absorb -> t.n_consumed <- t.n_consumed + 1
   | Continue -> (
     match t.forward with
@@ -93,20 +97,6 @@ let receive t p =
             ~dst:p.Packet.dst ~size:p.Packet.size ~a:0 ~b:0;
         (match t.pool with Some pool -> Packet.release pool p | None -> ())
       | Consume -> t.n_consumed <- t.n_consumed + 1))
-
-(* Batch entry point for the batched link datapath: one call per
-   delivery chain instead of one per packet.  [pull] advances the
-   clock to each packet's own arrival instant, so hooks and forwarding
-   still observe exact per-packet times; hooks/forward are re-read
-   through [t] each iteration so mid-burst reconfiguration (reroute,
-   blackhole) behaves as it would packet-by-packet. *)
-let receive_burst t ~pull =
-  let continue = ref true in
-  while !continue do
-    match pull () with
-    | Some p -> receive t p
-    | None -> continue := false
-  done
 
 let forwarded t = t.n_forwarded
 let dropped t = t.n_dropped

@@ -46,13 +46,6 @@ val add_tap : t -> (Engine.Time.t -> Packet.t -> unit) -> unit
 val receive : t -> Packet.t -> unit
 (** Entry point wired as the destination of incoming links. *)
 
-val receive_burst : t -> pull:(unit -> Packet.t option) -> unit
-(** Batch entry point, wired with {!Link.set_dst_burst}: accepts a
-    whole ring of arrivals in one call, pulling packets until [pull]
-    returns [None].  Each packet is processed at its own arrival time
-    (the pull advances the clock), with hooks and forwarding applied
-    per packet exactly as {!receive} would. *)
-
 val inject : t -> port:int -> Packet.t -> unit
 (** Emit a device-generated packet (offload responses, NACKs). *)
 
@@ -63,7 +56,7 @@ val dropped : t -> int
 val consumed : t -> int
 
 val received : t -> int
-(** Packets that entered via {!receive}/{!receive_burst}. *)
+(** Packets that entered via {!receive}. *)
 
 val injected : t -> int
 (** Device-originated packets emitted via {!inject} (also counted in

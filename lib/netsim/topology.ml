@@ -17,17 +17,9 @@ let host t name =
 
 let switch t name = Switch.create t.sim ~name ()
 
-(* Wire a link into a device through both delivery interfaces: the
-   per-packet destination (used by classic links, and as the fallback)
-   and the burst destination (used by batched links to take a whole
-   delivery chain in one call). *)
-let to_switch link sw =
-  Link.set_dst link (Switch.receive sw);
-  Link.set_dst_burst link (Switch.receive_burst sw)
+let to_switch link sw = Link.set_dst link (Switch.receive sw)
 
-let to_node link node =
-  Link.set_dst link (Node.receive node);
-  Link.set_dst_burst link (Node.receive_burst node)
+let to_node link node = Link.set_dst link (Node.receive node)
 
 let hosts t = List.rev t.all_hosts
 

@@ -492,67 +492,6 @@ let test_trace_capacity_bounded () =
   done;
   checkb "bounded" true (Trace.length tr <= 10)
 
-(* ----------------------- burst lookahead --------------------------- *)
-
-let test_try_advance () =
-  let sim = Sim.create () in
-  checkb "empty heap advances" true (Sim.try_advance sim ~upto:100);
-  check "clock jumped" 100 (Sim.now sim);
-  ignore (Sim.schedule sim ~at:150 (fun () -> ()));
-  checkb "event beyond upto advances" true (Sim.try_advance sim ~upto:140);
-  check "clock at 140" 140 (Sim.now sim);
-  checkb "event at upto refuses" false (Sim.try_advance sim ~upto:150);
-  check "clock untouched on refusal" 140 (Sim.now sim)
-
-let test_advance_if_next () =
-  let sim = Sim.create () in
-  let fired = ref 0 in
-  let tm = Sim.timer sim (fun () -> incr fired) in
-  checkb "disarmed timer refuses" false (Sim.advance_if_next tm);
-  Sim.arm tm ~at:50;
-  checkb "heap head is consumed" true (Sim.advance_if_next tm);
-  check "clock at fire time" 50 (Sim.now sim);
-  checkb "consume disarms" false (Sim.armed tm);
-  check "caller runs the work inline, not the dispatcher" 0 !fired;
-  ignore (Sim.schedule sim ~at:60 (fun () -> ()));
-  Sim.arm tm ~at:70;
-  checkb "not head: refused" false (Sim.advance_if_next tm);
-  checkb "still armed after refusal" true (Sim.armed tm);
-  Sim.run sim;
-  check "refused timer fires via dispatch" 1 !fired
-
-let test_plan_inline_when_quiet () =
-  let sim = Sim.create () in
-  let tm = Sim.timer sim (fun () -> ()) in
-  Sim.plan tm ~at:100;
-  checkb "plan counts as armed" true (Sim.armed tm);
-  (* Scheduled after the plan at the same instant: newer seq, so the
-     reservation still fires first and may run inline. *)
-  ignore (Sim.schedule sim ~at:100 (fun () -> ()));
-  checkb "newer same-instant event does not block" true
-    (Sim.run_plan_inline tm);
-  check "clock at planned instant" 100 (Sim.now sim);
-  checkb "reservation consumed" false (Sim.planned tm);
-  Sim.plan tm ~at:200;
-  Sim.drop_plan tm;
-  checkb "dropped plan disarms" false (Sim.armed tm)
-
-let test_plan_commit_keeps_tie_order () =
-  let sim = Sim.create () in
-  let log = ref [] in
-  let tm = Sim.timer sim (fun () -> log := "planned" :: !log) in
-  Sim.plan tm ~at:100;
-  ignore (Sim.schedule sim ~at:100 (fun () -> log := "tie-later" :: !log));
-  ignore (Sim.schedule sim ~at:90 (fun () -> log := "early" :: !log));
-  checkb "earlier event blocks inline run" false (Sim.run_plan_inline tm);
-  Sim.commit_plan tm;
-  checkb "commit converts plan to a real event" false (Sim.planned tm);
-  Sim.run sim;
-  Alcotest.(check (list string))
-    "committed plan keeps its reserved same-instant position"
-    [ "early"; "planned"; "tie-later" ]
-    (List.rev !log)
-
 let suite =
   [ Alcotest.test_case "time units" `Quick test_time_units;
     Alcotest.test_case "tx_time" `Quick test_tx_time;
@@ -582,11 +521,6 @@ let suite =
     Alcotest.test_case "sim timer rearm" `Quick test_sim_timer_rearm;
     Alcotest.test_case "sim timer disarm" `Quick test_sim_timer_disarm;
     Alcotest.test_case "sim periodic cancel" `Quick test_sim_periodic_cancel;
-    Alcotest.test_case "sim try_advance" `Quick test_try_advance;
-    Alcotest.test_case "sim advance_if_next" `Quick test_advance_if_next;
-    Alcotest.test_case "sim plan inline" `Quick test_plan_inline_when_quiet;
-    Alcotest.test_case "sim plan commit tie order" `Quick
-      test_plan_commit_keeps_tie_order;
     QCheck_alcotest.to_alcotest prop_heap_matches_model;
     QCheck_alcotest.to_alcotest prop_heap_pop_is_pending_min;
     QCheck_alcotest.to_alcotest prop_rng_derive_streams_independent;

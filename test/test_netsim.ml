@@ -1020,70 +1020,191 @@ let test_pktring_capacity_boundary () =
     "order preserved across growth" (List.rev !sent) (uids_of r);
   checki "pop_back returns newest" p.Packet.uid (Pktring.pop_back r).Packet.uid
 
-(* ----------------- link occupancy, batched vs classic -------------- *)
+(* --------------------------- link datapath ------------------------ *)
 
 (* Eight packets sent back to back at t=0 over a 10 G / 5 us link:
    serialization 1.2 us per packet, completions at 1.2k us, deliveries
    5 us later.  Sampled at off-completion instants, queue depth,
    in-flight population (propagating packets PLUS the one being
-   serialized) and bytes-on-the-wire must be identical in both
-   datapaths and conserve the checked-out population. *)
-let occupancy_samples batched =
-  Datapath.with_batching batched (fun () ->
-      let sim = Engine.Sim.create () in
-      let pool = Packet.pool sim in
-      let link =
-        Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10)
-          ~delay:(Engine.Time.us 5) ~pool ()
-      in
-      let delivered = ref 0 in
-      Link.set_dst link (fun p ->
-          incr delivered;
-          Packet.release pool p);
+   serialized), bytes fully on the wire and deliveries are pinned, and
+   the checked-out population is conserved at every sample. *)
+let test_link_occupancy () =
+  let sim = Engine.Sim.create () in
+  let pool = Packet.pool sim in
+  let link =
+    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 5) ~pool ()
+  in
+  let delivered = ref 0 in
+  Link.set_dst link (fun p ->
+      incr delivered;
+      Packet.release pool p);
+  ignore
+  @@ Engine.Sim.schedule sim ~at:0 (fun () ->
+         for _ = 1 to 8 do
+           Link.send link (Packet.recycle pool ~src:1 ~dst:2 ~size:1500 ())
+         done);
+  let samples = ref [] in
+  List.iter
+    (fun t ->
       ignore
-      @@ Engine.Sim.schedule sim ~at:0 (fun () ->
-             for _ = 1 to 8 do
-               Link.send link (Packet.recycle pool ~src:1 ~dst:2 ~size:1500 ())
-             done);
-      let samples = ref [] in
-      List.iter
-        (fun t ->
-          ignore
-          @@ Engine.Sim.schedule sim ~at:t (fun () ->
-                 let q = Link.queued_pkts link in
-                 let fl = Link.in_flight_pkts link in
-                 checki "population conserved at sample" 8
-                   (q + fl + !delivered);
-                 samples :=
-                   (t, q, fl, Link.bytes_sent link, !delivered) :: !samples))
-        [ 600; 1_800; 3_000; 6_100; 9_700; 12_000; 14_500; 20_000 ];
-      Engine.Sim.run sim;
-      checki "all delivered" 8 !delivered;
-      List.rev !samples)
+      @@ Engine.Sim.schedule sim ~at:t (fun () ->
+             let q = Link.queued_pkts link in
+             let fl = Link.in_flight_pkts link in
+             checki "population conserved at sample" 8 (q + fl + !delivered);
+             samples :=
+               (t, (q, (fl, (Link.bytes_sent link, !delivered)))) :: !samples))
+    [ 600; 1_800; 3_000; 6_100; 9_700; 12_000; 14_500; 20_000 ];
+  Engine.Sim.run sim;
+  checki "all delivered" 8 !delivered;
+  (* (t, (queued, (in-flight, (bytes on wire, delivered)))): at 600 ns
+     the in-service packet counts as in flight and its bytes are not
+     yet on the wire; by 9.7 us the queue has drained and three
+     packets have arrived. *)
+  Alcotest.(check (list (pair int (pair int (pair int (pair int int))))))
+    "occupancy samples"
+    [ (600, (7, (1, (0, 0))));
+      (1_800, (6, (2, (1_500, 0))));
+      (3_000, (5, (3, (3_000, 0))));
+      (6_100, (2, (6, (7_500, 0))));
+      (9_700, (0, (5, (12_000, 3))));
+      (12_000, (0, (3, (12_000, 5))));
+      (14_500, (0, (1, (12_000, 7))));
+      (20_000, (0, (0, (12_000, 8)))) ]
+    (List.rev !samples)
 
-let test_link_occupancy_batched_eq_classic () =
-  let classic = occupancy_samples false in
-  let batched = occupancy_samples true in
-  let sample = Alcotest.(list (pair int (pair int (pair int (pair int int))))) in
-  let pack = List.map (fun (t, q, fl, b, d) -> (t, (q, (fl, (b, d))))) in
-  (* Pinned mid-serialization rows: the in-service packet counts as in
-     flight and its bytes are not yet on the wire. *)
-  (match classic with
-  | (600, q, fl, b, d) :: _ ->
-    checki "t=600ns queued" 7 q;
-    checki "t=600ns in-flight includes in-service" 1 fl;
-    checki "t=600ns bytes not yet serialized" 0 b;
-    checki "t=600ns delivered" 0 d
-  | _ -> Alcotest.fail "missing t=600 sample");
-  (match List.nth_opt classic 4 with
-  | Some (9_700, q, fl, b, d) ->
-    checki "t=9.7us queue drained" 0 q;
-    checki "t=9.7us propagating" 5 fl;
-    checki "t=9.7us all bytes on wire" 12_000 b;
-    checki "t=9.7us delivered" 3 d
-  | _ -> Alcotest.fail "missing t=9700 sample");
-  Alcotest.check sample "occupancy identical across datapaths"
-    (pack classic) (pack batched)
+(* A 10 G / 2 us link whose deliveries are counted, with [n] packets
+   sent before the engine runs: every event the run dispatches is the
+   link's own. *)
+let link_events n =
+  let sim = Engine.Sim.create () in
+  let link =
+    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 2) ()
+  in
+  let delivered = ref 0 in
+  Link.set_dst link (fun _ -> incr delivered);
+  for _ = 1 to n do
+    Link.send link (Packet.make sim ~src:0 ~dst:1 ~size:1500 ())
+  done;
+  Engine.Sim.run sim;
+  checki "all delivered" n !delivered;
+  Engine.Sim.events_processed sim
+
+(* A packet that leaves an empty queue behind needs no completion
+   event: its delivery is scheduled when it starts serialising. *)
+let test_link_lone_packet_one_event () =
+  checki "one engine event for a lone packet" 1 (link_events 1)
+
+(* Back to back, every packet but the last has a successor waiting, so
+   n deliveries plus n-1 completions. *)
+let test_link_back_to_back_events () =
+  checki "2n-1 engine events for n queued packets" 19 (link_events 10)
+
+(* Failing the link while a lone packet serialises: there is no
+   completion event to cancel, only the packet's delivery.  The packet
+   is lost as a fault drop, nothing arrives, and the per-link
+   conservation equation still closes. *)
+let test_link_down_mid_lone_packet () =
+  let sim = Engine.Sim.create () in
+  let pool = Packet.pool sim in
+  let link =
+    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 2) ~pool ()
+  in
+  let delivered = ref 0 in
+  Link.set_dst link (fun _ -> incr delivered);
+  Link.send link (Packet.recycle pool ~src:0 ~dst:1 ~size:1500 ());
+  checkb "serialising" true (Link.busy link);
+  ignore
+  @@ Engine.Sim.schedule sim ~at:600 (fun () ->
+         Link.set_down link;
+         checkb "wire idle after abort" false (Link.busy link);
+         checki "aborted packet left the flight ring" 0
+           (Link.in_flight_pkts link));
+  Engine.Sim.run sim;
+  checki "fault drop counted" 1 (Link.fault_drops link);
+  checki "nothing delivered" 0 !delivered;
+  checki "delivered counter" 0 (Link.delivered_pkts link);
+  checki "aborted bytes never reached the wire" 0 (Link.bytes_sent link);
+  checki "packet back in the pool" 0 (Packet.pool_live pool);
+  checki "only the set_down event ran" 1 (Engine.Sim.events_processed sim);
+  checki "sends = delivered + drops + fault + queued + in-flight"
+    (Link.sends link)
+    (Link.delivered_pkts link
+    + (Link.qdisc link).Qdisc.drops ()
+    + Link.fault_drops link + Link.queued_pkts link
+    + Link.in_flight_pkts link)
+
+(* Tie rule: a completion due at the current instant takes effect
+   before an enqueue at that instant.  p1 serialises over [0, 1200),
+   p2 waits; an event ordered before the completion timer at t=1200
+   sends p3 into an ECN queue that marks at depth >= 1.  p2 must have
+   left first, so p3 finds an empty queue and stays unmarked. *)
+let test_link_tie_rule () =
+  let sim = Engine.Sim.create () in
+  let link =
+    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 2)
+      ~qdisc:(Qdisc.ecn ~cap_pkts:16 ~mark_threshold:1 ())
+      ()
+  in
+  Link.set_dst link ignore;
+  let p3 = Packet.make sim ~src:0 ~dst:1 ~size:1500 () in
+  (* Scheduled before the sends, so it precedes the completion timer
+     they arm for the same instant. *)
+  ignore
+  @@ Engine.Sim.schedule sim ~at:1_200 (fun () ->
+         Link.send link p3;
+         checki "only p3 queued" 1 (Link.queued_pkts link);
+         checki "p1 propagating, p2 on the wire" 2 (Link.in_flight_pkts link));
+  Link.send link (Packet.make sim ~src:0 ~dst:1 ~size:1500 ());
+  Link.send link (Packet.make sim ~src:0 ~dst:1 ~size:1500 ());
+  Engine.Sim.run sim;
+  checkb "p3 unmarked" false (Packet.ecn_ce p3);
+  checki "no marks" 0 ((Link.qdisc link).Qdisc.marks ());
+  checki "all delivered" 3 (Link.delivered_pkts link)
+
+(* Steady-state pooled forwarding host -> switch -> host with no taps
+   or hooks installed: the switch builds no closures and the link
+   schedules prebuilt ones, so the only allocation left is the [Some]
+   each of the two qdiscs boxes on dequeue (2 words per hop).  A
+   warm-up pass sizes the pool, rings and heap first. *)
+let test_switch_forward_words () =
+  let sim = Engine.Sim.create () in
+  let pool = Packet.pool sim in
+  let mk name =
+    Link.create sim ~name ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 1) ~pool ()
+  in
+  let up = mk "h0->sw" and down = mk "sw->h1" in
+  let sw = Switch.create sim ~name:"sw" ~pool () in
+  let fwd = Switch.Forward (Switch.add_port sw down) in
+  Switch.set_forward sw (fun _ -> fwd);
+  Link.set_dst up (Switch.receive sw);
+  let delivered = ref 0 in
+  Link.set_dst down (fun p ->
+      incr delivered;
+      Packet.release pool p);
+  (* Within the uplink's 1000-packet queue: a pass is one backlog. *)
+  let n = 500 in
+  let pass () =
+    for _ = 1 to n do
+      Link.send up (Packet.recycle pool ~src:0 ~dst:1 ~size:1500 ())
+    done;
+    Engine.Sim.run sim
+  in
+  pass ();
+  let w0 = Gc.minor_words () in
+  pass ();
+  let words = Gc.minor_words () -. w0 in
+  checki "second pass delivered" (2 * n) !delivered;
+  (* Reading the counter boxes a float or two; one more word per
+     packet would show as hundreds. *)
+  checkb
+    (Printf.sprintf "minor words over %d forwards: %.0f" n words)
+    true
+    (words < float_of_int ((4 * n) + 16))
 
 let suite =
   [ Alcotest.test_case "packet uids" `Quick test_packet_uids_unique;
@@ -1108,8 +1229,16 @@ let suite =
     Alcotest.test_case "pktring capacity boundary" `Quick
       test_pktring_capacity_boundary;
     Alcotest.test_case "link timing" `Quick test_link_serialization_and_delay;
-    Alcotest.test_case "link occupancy batched==classic" `Quick
-      test_link_occupancy_batched_eq_classic;
+    Alcotest.test_case "link occupancy" `Quick test_link_occupancy;
+    Alcotest.test_case "link lone packet one event" `Quick
+      test_link_lone_packet_one_event;
+    Alcotest.test_case "link back-to-back 2n-1 events" `Quick
+      test_link_back_to_back_events;
+    Alcotest.test_case "link down mid lone packet" `Quick
+      test_link_down_mid_lone_packet;
+    Alcotest.test_case "link tie rule" `Quick test_link_tie_rule;
+    Alcotest.test_case "switch forward minor words" `Quick
+      test_switch_forward_words;
     Alcotest.test_case "link drops" `Quick test_link_drops_when_queue_full;
     Alcotest.test_case "link accounting" `Quick test_link_utilization_accounting;
     Alcotest.test_case "link utilization zero window" `Quick
