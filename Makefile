@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-datapath bench-scale bench-parallel lint lint-typed check telemetry-check fuzz-smoke golden-check golden-rebaseline exhibits extensions sweeps examples clean
+.PHONY: all build test bench bench-datapath bench-scale bench-parallel lint lint-typed check telemetry-check fuzz-smoke golden-check golden-rebaseline golden-par exhibits extensions sweeps examples clean
 
 all: build
 
@@ -67,11 +67,16 @@ fuzz-smoke:
 # Golden exhibit digests: re-run `all --smoke` (no timings in its
 # output) and compare one MD5 per exhibit against
 # test/golden/all_smoke.digests, naming every exhibit that changed.
-# About a minute, so it stays out of `dune runtest`.
+# The partitioned exhibit (`par-leafspine`, not part of `all`) is
+# pinned the same way, once per transport, in
+# test/golden/par_leafspine.digests.  About a minute, so it stays out
+# of `dune runtest`.
 golden-check:
 	dune build bin/mtp_sim.exe test/golden/golden.exe
 	./_build/default/bin/mtp_sim.exe all --smoke > _build/golden_smoke.txt
 	./_build/default/test/golden/golden.exe --check test/golden/all_smoke.digests < _build/golden_smoke.txt
+	$(MAKE) --no-print-directory golden-par > _build/golden_par.txt
+	./_build/default/test/golden/golden.exe --check test/golden/par_leafspine.digests < _build/golden_par.txt
 
 # Rewrite the golden digests from the current tree.  Only on purpose:
 # every use must be recorded in CHANGES.md with the exhibit rows that
@@ -80,6 +85,13 @@ golden-rebaseline:
 	dune build bin/mtp_sim.exe test/golden/golden.exe
 	./_build/default/bin/mtp_sim.exe all --smoke > _build/golden_smoke.txt
 	./_build/default/test/golden/golden.exe < _build/golden_smoke.txt > test/golden/all_smoke.digests
+	$(MAKE) --no-print-directory golden-par > _build/golden_par.txt
+	./_build/default/test/golden/golden.exe < _build/golden_par.txt > test/golden/par_leafspine.digests
+
+# The partitioned exhibit's pinned runs, on stdout.
+golden-par:
+	@./_build/default/bin/mtp_sim.exe par-leafspine --jobs 1
+	@./_build/default/bin/mtp_sim.exe par-leafspine --jobs 1 --transport mtp
 
 # CI gate: full build, the test suite, a quick datapath bench that
 # must produce the allocation/throughput guardrail report, the

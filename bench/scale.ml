@@ -31,20 +31,20 @@ type world = { sim : Engine.Sim.t; hosts : Netsim.Node.t array }
 
 let build_mls ~pods ~leaves ~spines ~supers ~hpl () =
   let sim = Engine.Sim.create () in
-  let topo = Netsim.Topology.create sim in
-  let mt =
-    Netsim.Topology.multi_leaf_spine topo ~pods ~leaves ~spines ~supers
-      ~hosts_per_leaf:hpl ~host_rate ~fabric_rate ~delay ()
+  let net =
+    Netsim.Fabric.into_sim sim
+      (Netsim.Fabric.multi_leaf_spine ~pods ~leaves ~spines ~supers
+         ~hosts_per_leaf:hpl ~host_rate ~fabric_rate ~delay ())
   in
-  { sim; hosts = mt.Netsim.Topology.mt_hosts }
+  { sim; hosts = net.Netsim.Fabric.hosts }
 
 let build_ft ~k () =
   let sim = Engine.Sim.create () in
-  let topo = Netsim.Topology.create sim in
-  let ft =
-    Netsim.Topology.fat_tree topo ~k ~host_rate ~fabric_rate ~delay ()
+  let net =
+    Netsim.Fabric.into_sim sim
+      (Netsim.Fabric.fat_tree ~k ~host_rate ~fabric_rate ~delay ())
   in
-  { sim; hosts = ft.Netsim.Topology.ft_hosts }
+  { sim; hosts = net.Netsim.Fabric.hosts }
 
 type point_spec = { label : string; nhosts : int; build : unit -> world }
 
@@ -143,13 +143,14 @@ let run_point spec =
    action block. *)
 let run_lookup () =
   let sim = Engine.Sim.create () in
-  let topo = Netsim.Topology.create sim in
-  let mt =
-    Netsim.Topology.multi_leaf_spine topo ~pods:8 ~leaves:16 ~spines:8
-      ~supers:8 ~hosts_per_leaf:32 ~host_rate ~fabric_rate ~delay ()
+  let module F = Netsim.Fabric in
+  let d =
+    F.multi_leaf_spine ~pods:8 ~leaves:16 ~spines:8 ~supers:8
+      ~hosts_per_leaf:32 ~host_rate ~fabric_rate ~delay ()
   in
-  let routes = mt.Netsim.Topology.mt_leaf_routes.(0) in
-  let nhosts = Array.length mt.Netsim.Topology.mt_hosts in
+  let net = F.into_sim sim d in
+  let routes = net.F.tables.(net.F.slot.(F.node_index d "leaf0_0")) in
+  let nhosts = Array.length net.F.hosts in
   let pool = Netsim.Packet.pool sim in
   let probe = Netsim.Packet.recycle pool ~src:0 ~dst:0 ~size:1500 () in
   (* Warm every live set once so lazy refreshes are off the clock. *)

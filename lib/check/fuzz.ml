@@ -10,8 +10,8 @@
    - absent vs never-firing fault plan (when the spec has no faults)
    - inline vs worker-domain execution (Runner.Pool, jobs=2)
    - inline vs domains: the partitioned intra-scenario runner
-     (Scenario.run_domains on Netsim.Partition + Runner.Epoch) at
-     jobs=1 vs jobs=2, for leaf-spine specs
+     (Scenario.run_domains on Fabric.into_partitions + Runner.Epoch)
+     at jobs=1 vs jobs=2, for leaf-spine and fat-tree specs
 
    The [inject] hook exists for the mutation test: it installs a
    deliberate conservation bug into a built scenario, proving the

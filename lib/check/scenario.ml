@@ -51,6 +51,24 @@ type endpoints_shape = {
   all : Node.t array;
 }
 
+(* The Clos topologies are fabric descriptions: [build] instantiates
+   them into one sim, [run_domains] into per-leaf / per-pod
+   partitions.  [q], the uplink qdisc factory, runs once per uplink
+   when a description is instantiated. *)
+let fabric_of spec q =
+  let rate = Engine.Time.mbps spec.Spec.rate_mbps in
+  let delay = Engine.Time.us spec.Spec.delay_us in
+  match spec.Spec.topo with
+  | Spec.Leaf_spine { leaves; spines; hosts } ->
+    Some
+      (Fabric.leaf_spine ~leaves ~spines ~hosts_per_leaf:hosts ~host_rate:rate
+         ~fabric_rate:rate ~delay ~uplink_qdisc:q ())
+  | Spec.Fat_tree { k } ->
+    Some
+      (Fabric.fat_tree ~k ~host_rate:rate ~fabric_rate:rate ~delay
+         ~uplink_qdisc:q ())
+  | Spec.Pair | Spec.Star _ | Spec.Dumbbell _ | Spec.Two_path -> None
+
 let build_topology spec topo =
   let rate = Engine.Time.mbps spec.Spec.rate_mbps in
   let delay = Engine.Time.us spec.Spec.delay_us in
@@ -88,25 +106,12 @@ let build_topology spec topo =
         dsts = [| tp.Topology.tp_dst |];
         all = [| tp.Topology.tp_src; tp.Topology.tp_dst |] },
       [| tp.Topology.tp_ingress; tp.Topology.tp_egress |] )
-  | Spec.Leaf_spine { leaves; spines; hosts } ->
-    let ls =
-      Topology.leaf_spine topo ~leaves ~spines ~hosts_per_leaf:hosts
-        ~host_rate:rate ~fabric_rate:rate ~delay ~uplink_qdisc:q ()
+  | Spec.Leaf_spine _ | Spec.Fat_tree _ ->
+    let net =
+      Fabric.into_sim (Topology.sim topo) (Option.get (fabric_of spec q))
     in
-    let all =
-      Array.concat (Array.to_list ls.Topology.ls_hosts)
-    in
-    ( { srcs = all; dsts = all; all },
-      Array.append ls.Topology.ls_leaves ls.Topology.ls_spines )
-  | Spec.Fat_tree { k } ->
-    let ft =
-      Topology.fat_tree topo ~k ~host_rate:rate ~fabric_rate:rate ~delay
-        ~uplink_qdisc:q ()
-    in
-    let all = ft.Topology.ft_hosts in
-    ( { srcs = all; dsts = all; all },
-      Array.concat
-        [ ft.Topology.ft_edges; ft.Topology.ft_aggs; ft.Topology.ft_cores ] )
+    let all = net.Fabric.hosts in
+    ({ srcs = all; dsts = all; all }, net.Fabric.switches)
 
 (* Every link in the scenario: host uplinks plus every switch egress
    port, deduplicated by identity (an uplink can be some switch's
@@ -341,9 +346,11 @@ let digest t =
 
 (* ----------------- domain-mode (partitioned) build ------------------ *)
 
-(* The same scenario, built on [Netsim.Partition]: one partition per
-   leaf, spines round-robin, fabric directions that cross partitions
-   realized as conduits with the full propagation delay.  The digest
+(* The same scenario, its fabric description instantiated into
+   partitions at the canonical placement ([Fabric.by_pod]: one
+   partition per leaf or pod, the shared top tier dealt round-robin),
+   fabric directions that cross partitions realized as conduits with
+   the full propagation delay.  The digest
    mirrors [digest]'s structure but concatenates the per-partition
    traces in partition order (a canonical merge — the classic global
    interleave would require the single-sim heap's tie-breaking, which
@@ -357,64 +364,39 @@ let digest t =
    completion slot is written only by its source host's partition.
    The ledger and MTP endpoints are read on main after the run. *)
 
+(* The description and its placement, when it spans several
+   partitions. *)
+let partitioned spec q =
+  match fabric_of spec q with
+  | Some d ->
+    let place = Fabric.by_pod d in
+    if Array.exists (fun p -> p > 0) place then Some (d, place) else None
+  | None -> None
+
 let domains_applicable (spec : Spec.t) =
-  match spec.Spec.topo with
-  | Spec.Leaf_spine { leaves; _ } -> leaves >= 2
-  | Spec.Fat_tree { k } -> k >= 2 && k mod 2 = 0
-  | _ -> false
+  Option.is_some (partitioned spec (make_qdisc spec (ref 0)))
 
 let run_domains ?(jobs = 1) (spec : Spec.t) =
-  let rate = Engine.Time.mbps spec.Spec.rate_mbps in
-  let delay = Engine.Time.us spec.Spec.delay_us in
   let counter = ref 0 in
   let q = make_qdisc spec counter in
-  (* Per-topology partitioned build: the world, hosts in address
-     order, hosts per partition (pod/leaf size), switches with their
-     owning partitions, and the canonical link array. *)
-  let world, all, hosts_per_part, switches, sw_part, links, link_part =
-    match spec.Spec.topo with
-    | Spec.Leaf_spine { leaves; spines; hosts } when leaves >= 2 ->
-      let pls =
-        Partition.leaf_spine ~seed:spec.Spec.seed ~leaves ~spines
-          ~hosts_per_leaf:hosts ~host_rate:rate ~fabric_rate:rate ~delay
-          ~uplink_qdisc:q ()
-      in
-      ( pls.Partition.pls_world,
-        Array.concat (Array.to_list pls.Partition.pls_hosts),
-        hosts,
-        Array.append pls.Partition.pls_leaves pls.Partition.pls_spines,
-        Array.append
-          (Array.init leaves (fun l -> l))
-          pls.Partition.pls_spine_part,
-        pls.Partition.pls_links,
-        pls.Partition.pls_link_part )
-    | Spec.Fat_tree { k } when k >= 2 && k mod 2 = 0 ->
-      let pft =
-        Partition.fat_tree ~seed:spec.Spec.seed ~k ~host_rate:rate
-          ~fabric_rate:rate ~delay ~uplink_qdisc:q ()
-      in
-      let half = k / 2 in
-      ( pft.Partition.pft_world,
-        pft.Partition.pft_hosts,
-        k * k / 4,
-        Array.concat
-          [ pft.Partition.pft_edges; pft.Partition.pft_aggs;
-            pft.Partition.pft_cores ],
-        Array.concat
-          [ Array.init (k * half) (fun e -> e / half);
-            Array.init (k * half) (fun a -> a / half);
-            pft.Partition.pft_core_part ],
-        pft.Partition.pft_links,
-        pft.Partition.pft_link_part )
-    | _ -> invalid_arg "Scenario.run_domains: spec is not domains_applicable"
+  let d, place =
+    match partitioned spec q with
+    | Some dp -> dp
+    | None -> invalid_arg "Scenario.run_domains: spec is not domains_applicable"
   in
+  let parts = Fabric.into_partitions ~seed:spec.Spec.seed ~place d in
+  let world = parts.Fabric.world in
+  let all = parts.Fabric.net.Fabric.hosts in
+  let switches = parts.Fabric.net.Fabric.switches in
+  let links = parts.Fabric.net.Fabric.links in
+  let link_part = parts.Fabric.link_part in
   let nparts = Partition.nparts world in
   let duration = Engine.Time.us spec.Spec.duration_us in
   let traces = Array.init nparts (fun _ -> Buffer.create 1024) in
   let tr p fmt =
     Printf.ksprintf (fun s -> Buffer.add_string traces.(p) (s ^ "\n")) fmt
   in
-  let part_of_host i = i / hosts_per_part in
+  let part_of_host i = parts.Fabric.host_part.(i) in
   let host_wraps = Array.map (fun n -> Host.create n) all in
   let endpoints = ref [] in
   let stacks =
@@ -504,7 +486,8 @@ let run_domains ?(jobs = 1) (spec : Spec.t) =
     (fun i l -> Link.add_tap l (Oracle.tap monos.(link_part.(i))))
     links;
   Array.iteri
-    (fun i sw -> Switch.add_tap sw (Oracle.tap monos.(sw_part.(i))))
+    (fun i sw ->
+      Switch.add_tap sw (Oracle.tap monos.(parts.Fabric.switch_part.(i))))
     switches;
   (* Spacing watchers are per link, so each belongs to one partition. *)
   let spacings = Array.map Oracle.spacing links in

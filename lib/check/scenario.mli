@@ -37,9 +37,10 @@ val oracle_failures : t -> string list
 
 (** {1 Domain mode}
 
-    The same scenario built on [Netsim.Partition] (one partition per
-    leaf, or per pod for fat-trees) and driven by the conservative
-    epoch runner.  Digests are
+    The same scenario's fabric description built by
+    [Netsim.Fabric.into_partitions] at its canonical placement (one
+    partition per leaf, or per pod for fat-trees) and driven by the
+    conservative epoch runner.  Digests are
     canonical per-partition renderings: compare domain-mode runs
     against each other across [jobs] values — not against {!digest},
     whose global trace interleaving depends on single-heap tie
@@ -47,7 +48,8 @@ val oracle_failures : t -> string list
     reproduce. *)
 
 val domains_applicable : Spec.t -> bool
-(** Whether {!run_domains} supports the spec's topology (leaf-spine
+(** Whether the spec's topology is a fabric description whose
+    canonical placement spans at least two partitions (leaf-spine
     with at least two leaves, or any valid fat-tree). *)
 
 val run_domains : ?jobs:int -> Spec.t -> (string, string) result

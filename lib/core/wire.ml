@@ -200,9 +200,3 @@ let pp fmt t =
   else
     Format.fprintf fmt "mtp msg=%d pkt=%d/%d len=%d/%d tc=%d pri=%d" t.msg_id
       t.pkt_num t.msg_pkts t.pkt_len t.msg_len t.msg_tc t.msg_pri
-
-(* Tracer integration: human-readable summaries in packet dumps. *)
-let () =
-  Netsim.Tracer.register_printer (function
-    | Mtp h -> Some (Format.asprintf "%a" pp h)
-    | _ -> None)

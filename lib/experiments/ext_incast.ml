@@ -45,31 +45,32 @@ let sender_indices ~nhosts ~fanout =
   done;
   Array.init fanout (fun j -> 1 + (j * !step mod m))
 
+module F = Netsim.Fabric
+
 let build cfg ~ecn =
   let sim = Engine.Sim.create ~seed:cfg.seed () in
-  let topo = Netsim.Topology.create sim in
   let qdisc =
     if ecn then fun () -> Netsim.Qdisc.ecn ~cap_pkts:128 ~mark_threshold:20 ()
     else fun () -> Netsim.Qdisc.fifo ~cap_pkts:128 ()
   in
-  let ft =
-    Netsim.Topology.fat_tree topo ~k:cfg.k
-      ~host_rate:(Engine.Time.gbps 10) ~fabric_rate:(Engine.Time.gbps 10)
-      ~delay:(Engine.Time.us 2) ~uplink_qdisc:qdisc ~host_qdisc:qdisc ()
+  let d =
+    F.fat_tree ~k:cfg.k ~host_rate:(Engine.Time.gbps 10)
+      ~fabric_rate:(Engine.Time.gbps 10) ~delay:(Engine.Time.us 2)
+      ~uplink_qdisc:qdisc ~host_qdisc:qdisc ()
   in
-  (sim, ft)
+  (sim, d, F.into_sim sim d)
 
 (* The scheme-agnostic driver: [attach] builds a packed transport on a
    host; [prep] runs scheme-specific fabric setup (MTP pathlet
    stamping) before any traffic. *)
-let drive cfg ~id ~ecn ?(prep = fun _ _ -> ()) ~attach () =
+let drive cfg ~id ~ecn ?(prep = fun _ _ _ -> ()) ~attach () =
   let module T = Netsim.Transport_intf in
-  let sim, ft = build cfg ~ecn in
-  prep sim ft;
-  let nhosts = Array.length ft.Netsim.Topology.ft_hosts in
+  let sim, d, net = build cfg ~ecn in
+  prep sim d net;
+  let nhosts = Array.length net.F.hosts in
   if cfg.fanout > nhosts - 1 then
     invalid_arg "Ext_incast: fanout exceeds host count";
-  let agg_host = Netsim.Host.create ft.Netsim.Topology.ft_hosts.(0) in
+  let agg_host = Netsim.Host.create net.F.hosts.(0) in
   let aggregator = attach agg_host in
   let fcts = Stats.Summary.create () in
   let completed = ref 0 in
@@ -84,7 +85,7 @@ let drive cfg ~id ~ecn ?(prep = fun _ _ -> ()) ~attach () =
   let senders =
     Array.map
       (fun i ->
-        attach (Netsim.Host.create ft.Netsim.Topology.ft_hosts.(i)))
+        attach (Netsim.Host.create net.F.hosts.(i)))
       (sender_indices ~nhosts ~fanout:cfg.fanout)
   in
   (* Every response fires at t=0: maximal synchronized incast. *)
@@ -128,14 +129,17 @@ let run_dctcp cfg =
     ()
 
 (* MTP congestion control is per pathlet: stamp the aggregator's
-   edge->host downlink (the incast bottleneck — host 0 is port 0 of
-   edge 0, hosts being wired first) so senders see its ECN marks. *)
+   edge->host downlink (the incast bottleneck) so senders see its ECN
+   marks. *)
 let run_mtp cfg =
   drive cfg ~id:"mtp" ~ecn:true
-    ~prep:(fun sim ft ->
-      Mtp.Mtp_switch.stamp sim
-        (Netsim.Switch.port ft.Netsim.Topology.ft_edges.(0) 0)
-        ~path_id:1 ~mode:(Mtp.Mtp_switch.Ecn_mark 20))
+    ~prep:(fun sim d (net : F.net) ->
+      let down =
+        F.link_index d ~src:(F.node_index d "edge0_0")
+          ~dst:(F.node_index d "h0_0_0")
+      in
+      Mtp.Mtp_switch.stamp sim net.F.links.(down) ~path_id:1
+        ~mode:(Mtp.Mtp_switch.Ecn_mark 20))
     ~attach:(fun h ->
       Netsim.Transport_intf.pack
         (module Mtp.Endpoint.Messaging)

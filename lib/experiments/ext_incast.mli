@@ -1,6 +1,6 @@
 (** Extension: incast / RPC fan-out at fabric scale.
 
-    One aggregator host in a k-ary {!Netsim.Topology.fat_tree}
+    One aggregator host in a k-ary {!Netsim.Fabric.fat_tree}
     collects a fixed-size response from [fanout] senders spread across
     the fabric, all transmitted at t=0 — the partition/aggregate
     pattern whose synchronized fan-in collapses TCP.  TCP, DCTCP and

@@ -10,47 +10,57 @@ let leaves = 4
 let spines = 2
 let hosts_per_leaf = 4
 
+module F = Netsim.Fabric
+
 let build ~seed =
   let sim = Engine.Sim.create ~seed () in
-  let topo = Netsim.Topology.create sim in
-  let ls =
-    Netsim.Topology.leaf_spine topo ~leaves ~spines ~hosts_per_leaf
+  let d =
+    F.leaf_spine ~leaves ~spines ~hosts_per_leaf
       ~host_rate:(Engine.Time.gbps 10) ~fabric_rate:(Engine.Time.gbps 10)
       ~delay:(Engine.Time.us 2)
       ~uplink_qdisc:(fun () ->
         Netsim.Qdisc.ecn ~cap_pkts:128 ~mark_threshold:20 ())
       ()
   in
-  (sim, ls)
+  (sim, d, F.into_sim sim d)
+
+(* Host [i] of leaf [l]: hosts are leaf-major in address order. *)
+let host (net : F.net) l i = net.F.hosts.((l * hosts_per_leaf) + i)
+
+let uplink d (net : F.net) l s =
+  net.F.links.(F.link_index d
+                 ~src:(F.node_index d (Printf.sprintf "leaf%d" l))
+                 ~dst:(F.node_index d (Printf.sprintf "spine%d" s)))
 
 (* Permutation: host (l, i) streams to host ((l+1) mod leaves, i). *)
-let pairs (ls : Netsim.Topology.leaf_spine) =
+let pairs net =
   List.concat
     (List.init leaves (fun l ->
          List.init hosts_per_leaf (fun i ->
-             ( ls.Netsim.Topology.ls_hosts.(l).(i),
-               ls.Netsim.Topology.ls_hosts.((l + 1) mod leaves).(i) ))))
+             (host net l i, host net ((l + 1) mod leaves) i))))
 
 (* Worst max/min uplink-byte ratio across all leaves: a leaf whose
    flows all hashed onto one spine shows up here. *)
-let imbalance (ls : Netsim.Topology.leaf_spine) =
-  Array.fold_left
-    (fun worst row ->
-      let bytes = Array.map Netsim.Link.bytes_sent row in
-      let mx = Array.fold_left max 1 bytes in
-      let mn = Array.fold_left min max_int bytes in
+let imbalance d net =
+  List.fold_left
+    (fun worst l ->
+      let bytes =
+        List.init spines (fun s -> Netsim.Link.bytes_sent (uplink d net l s))
+      in
+      let mx = List.fold_left max 1 bytes in
+      let mn = List.fold_left min max_int bytes in
       Float.max worst (float_of_int mx /. float_of_int (max 1 mn)))
-    1.0 ls.Netsim.Topology.ls_uplinks
+    1.0 (List.init leaves Fun.id)
 
-let summarize fcts ~total_bytes ~duration ~ls =
+let summarize fcts ~total_bytes ~duration ~d ~net =
   { goodput_gbps = float_of_int (total_bytes * 8) /. float_of_int duration;
-    uplink_imbalance = imbalance ls;
+    uplink_imbalance = imbalance d net;
     p99_fct_us =
       (if Stats.Summary.count fcts = 0 then nan
        else Stats.Summary.percentile fcts 99.0) }
 
 let run_tcp ~duration ~message_bytes ~seed =
-  let sim, ls = build ~seed in
+  let sim, d, net = build ~seed in
   let cc = Transport.Tcp.Dctcp { g = 0.0625 } in
   let fcts = Stats.Summary.create () in
   let total = ref 0 in
@@ -90,23 +100,21 @@ let run_tcp ~duration ~message_bytes ~seed =
           if Transport.Tcp.send_buffered conn < message_bytes then
             Transport.Tcp.send conn message_bytes);
       Transport.Tcp.send conn (2 * message_bytes))
-    (pairs ls);
+    (pairs net);
   Engine.Sim.run ~until:duration sim;
-  summarize fcts ~total_bytes:!total ~duration ~ls
+  summarize fcts ~total_bytes:!total ~duration ~d ~net
 
 let run_mtp ~duration ~message_bytes ~seed =
-  let sim, ls = build ~seed in
+  let sim, d, net = build ~seed in
   (* Stamp each leaf-0 uplink as its own pathlet (representative; other
      leaves behave identically by symmetry). *)
-  Array.iteri
-    (fun l row ->
-      Array.iteri
-        (fun s link ->
-          Mtp.Mtp_switch.stamp sim link
-            ~path_id:((l * spines) + s + 1)
-            ~mode:(Mtp.Mtp_switch.Ecn_mark 20))
-        row)
-    ls.Netsim.Topology.ls_uplinks;
+  for l = 0 to leaves - 1 do
+    for s = 0 to spines - 1 do
+      Mtp.Mtp_switch.stamp sim (uplink d net l s)
+        ~path_id:((l * spines) + s + 1)
+        ~mode:(Mtp.Mtp_switch.Ecn_mark 20)
+    done
+  done;
   let fcts = Stats.Summary.create () in
   let total = ref 0 in
   List.iter
@@ -125,9 +133,9 @@ let run_mtp ~duration ~message_bytes ~seed =
              ~size:message_bytes ())
       in
       chain ())
-    (pairs ls);
+    (pairs net);
   Engine.Sim.run ~until:duration sim;
-  summarize fcts ~total_bytes:!total ~duration ~ls
+  summarize fcts ~total_bytes:!total ~duration ~d ~net
 
 let run ?(duration = Engine.Time.ms 10) ?(message_bytes = 250_000)
     ?(seed = 42) () =

@@ -1,7 +1,8 @@
 (* Flagship intra-scenario parallel exhibit: one large leaf-spine
    fabric under closed-loop permutation messaging, simulated on the
    partitioned world ([Netsim.Partition] + [Runner.Epoch]) so a single
-   scenario uses all cores.
+   scenario uses all cores.  The fabric is [Netsim.Fabric.leaf_spine]
+   built by [Fabric.into_partitions] at its canonical placement.
 
    The scenario is one world regardless of [jobs]: per-leaf partitions
    exchange fabric traffic through conduits whose delay equals the
@@ -60,8 +61,9 @@ type part_state = {
 let msg_port = 5001
 
 let run ?(jobs = 1) (c : config) =
-  let pls =
-    Netsim.Partition.leaf_spine ~seed:c.seed ~leaves:c.leaves ~spines:c.spines
+  let module F = Netsim.Fabric in
+  let d =
+    F.leaf_spine ~leaves:c.leaves ~spines:c.spines
       ~hosts_per_leaf:c.hosts_per_leaf
       ~host_rate:(Engine.Time.gbps 10)
       ~fabric_rate:(Engine.Time.gbps 10) ~delay:(Engine.Time.us 2)
@@ -69,73 +71,66 @@ let run ?(jobs = 1) (c : config) =
         Netsim.Qdisc.ecn ~cap_pkts:128 ~mark_threshold:20 ())
       ()
   in
-  let world = pls.Netsim.Partition.pls_world in
+  let parts = F.into_partitions ~seed:c.seed ~place:(F.by_pod d) d in
+  let world = parts.F.world and net = parts.F.net in
   let state =
-    Array.init c.leaves (fun _ ->
+    Array.init (Netsim.Partition.nparts world) (fun _ ->
         { ps_msgs = 0;
           ps_rx_bytes = 0;
           ps_fct_sum = 0;
           ps_fct_max = 0;
           ps_fcts = [] })
   in
-  let wraps =
-    Array.map
-      (Array.map (fun n -> Netsim.Host.create n))
-      pls.Netsim.Partition.pls_hosts
-  in
+  let wraps = Array.map (fun n -> Netsim.Host.create n) net.F.hosts in
   (if c.transport = Mtp then
      (* Stamp every leaf->spine uplink as a pathlet (ECN-mark mode has
         no timers, so stamping is partition-local and passive). *)
-     let base = c.leaves * c.hosts_per_leaf * 2 in
      for l = 0 to c.leaves - 1 do
        for s = 0 to c.spines - 1 do
          let up =
-           pls.Netsim.Partition.pls_links.(base + (2 * ((l * c.spines) + s)))
+           F.link_index d
+             ~src:(F.node_index d (Printf.sprintf "leaf%d" l))
+             ~dst:(F.node_index d (Printf.sprintf "spine%d" s))
          in
          Mtp.Mtp_switch.stamp
-           (Netsim.Partition.sim world l)
-           up
+           (Netsim.Partition.sim world parts.F.link_part.(up))
+           net.F.links.(up)
            ~path_id:((l * c.spines) + s + 1)
            ~mode:(Mtp.Mtp_switch.Ecn_mark 20)
        done
      done);
   let stacks =
     Array.map
-      (Array.map (fun h ->
-           match c.transport with
-           | Dctcp ->
-             Netsim.Transport_intf.pack
-               (module Transport.Dctcp.Messaging)
-               (Transport.Dctcp.attach ~snd_buf:1_000_000 h)
-           | Mtp ->
-             Netsim.Transport_intf.pack
-               (module Mtp.Endpoint.Messaging)
-               (Mtp.Endpoint.attach h)))
+      (fun h ->
+        match c.transport with
+        | Dctcp ->
+          Netsim.Transport_intf.pack
+            (module Transport.Dctcp.Messaging)
+            (Transport.Dctcp.attach ~snd_buf:1_000_000 h)
+        | Mtp ->
+          Netsim.Transport_intf.pack
+            (module Mtp.Endpoint.Messaging)
+            (Mtp.Endpoint.attach h))
       wraps
   in
-  (* Listeners: delivered bytes land in the destination leaf's slot. *)
+  (* Listeners: delivered bytes land in the destination's partition. *)
   Array.iteri
-    (fun l per_leaf ->
-      Array.iter
-        (fun stack ->
-          Netsim.Transport_intf.listen stack ~port:msg_port
-            ~on_message:(fun d ->
-              state.(l).ps_rx_bytes <-
-                state.(l).ps_rx_bytes + d.Netsim.Transport_intf.msg_size)
-            ())
-        per_leaf)
+    (fun i stack ->
+      let ps = state.(parts.F.host_part.(i)) in
+      Netsim.Transport_intf.listen stack ~port:msg_port
+        ~on_message:(fun d ->
+          ps.ps_rx_bytes <- ps.ps_rx_bytes + d.Netsim.Transport_intf.msg_size)
+        ())
     stacks;
-  (* Closed-loop permutation chains: (l, i) -> ((l+1) mod leaves, i).
-     Every chain's send side (and so its completion callback) lives in
-     leaf l's partition. *)
-  for l = 0 to c.leaves - 1 do
-    for i = 0 to c.hosts_per_leaf - 1 do
-      let dst_leaf = (l + 1) mod c.leaves in
-      let dst_addr =
-        Netsim.Node.addr pls.Netsim.Partition.pls_hosts.(dst_leaf).(i)
-      in
-      let src_stack = stacks.(l).(i) in
-      let ps = state.(l) in
+  (* Closed-loop permutation chains: host (l, i) -> ((l+1) mod leaves,
+     i), hosts being leaf-major in address order.  Every chain's send
+     side (and so its completion callback) lives in the source's
+     partition. *)
+  Array.iteri
+    (fun src src_stack ->
+      let dst = (src + c.hosts_per_leaf) mod Array.length wraps in
+      let dst_addr = Netsim.Host.addr wraps.(dst) in
+      let ps = state.(parts.F.host_part.(src)) in
       let rec chain () =
         Netsim.Transport_intf.send_message src_stack ~dst:dst_addr
           ~dst_port:msg_port
@@ -147,9 +142,8 @@ let run ?(jobs = 1) (c : config) =
             chain ())
           ~size:c.message_bytes ()
       in
-      chain ()
-    done
-  done;
+      chain ())
+    stacks;
   Netsim.Partition.run ~jobs ~until:c.duration world;
   (* Post-run, main domain: merge and render. *)
   let buf = Buffer.create 4096 in
@@ -170,19 +164,18 @@ let run ?(jobs = 1) (c : config) =
         (q.Netsim.Qdisc.drops ())
         (q.Netsim.Qdisc.marks ())
         (Netsim.Link.bytes_sent l))
-    pls.Netsim.Partition.pls_links;
-  let sw_line sw =
-    line "switch %s rx=%d fwd=%d drop=%d" (Netsim.Switch.name sw)
-      (Netsim.Switch.received sw)
-      (Netsim.Switch.forwarded sw)
-      (Netsim.Switch.dropped sw)
-  in
-  Array.iter sw_line pls.Netsim.Partition.pls_leaves;
-  Array.iter sw_line pls.Netsim.Partition.pls_spines;
+    net.F.links;
   Array.iter
-    (Array.iter (fun h ->
-         line "host %d unclaimed=%d" (Netsim.Host.addr h)
-           (Netsim.Host.unclaimed h)))
+    (fun sw ->
+      line "switch %s rx=%d fwd=%d drop=%d" (Netsim.Switch.name sw)
+        (Netsim.Switch.received sw)
+        (Netsim.Switch.forwarded sw)
+        (Netsim.Switch.dropped sw))
+    net.F.switches;
+  Array.iter
+    (fun h ->
+      line "host %d unclaimed=%d" (Netsim.Host.addr h)
+        (Netsim.Host.unclaimed h))
     wraps;
   let events = ref 0 in
   for p = 0 to Netsim.Partition.nparts world - 1 do

@@ -5,7 +5,7 @@
     function with different multipath behaviours.
 
     Representation: host addresses are dense ints (allocated by
-    {!Topology}), so the table is a dense address-indexed array and
+    {!Topology} or given by a {!Fabric} description), so the table is a dense address-indexed array and
     the per-packet lookup is a bounds-checked array index — no
     hashing, no option allocation, and zero allocation in steady state
     (live-port arrays are refiltered lazily after a control-plane

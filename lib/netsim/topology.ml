@@ -1,18 +1,12 @@
-type t = {
-  sim : Engine.Sim.t;
-  mutable next_addr : int;
-  mutable all_hosts : Node.t list; (* reverse creation order *)
-}
+type t = { sim : Engine.Sim.t; mutable next_addr : int }
 
-let create ?(first_addr = 0) sim =
-  { sim; next_addr = first_addr; all_hosts = [] }
+let create sim = { sim; next_addr = 0 }
 
 let sim t = t.sim
 
 let host t name =
   let node = Node.create t.sim ~name ~addr:t.next_addr in
   t.next_addr <- t.next_addr + 1;
-  t.all_hosts <- node :: t.all_hosts;
   node
 
 let switch t name = Switch.create t.sim ~name ()
@@ -20,11 +14,6 @@ let switch t name = Switch.create t.sim ~name ()
 let to_switch link sw = Link.set_dst link (Switch.receive sw)
 
 let to_node link node = Link.set_dst link (Node.receive node)
-
-let hosts t = List.rev t.all_hosts
-
-let host_by_addr t addr =
-  List.find (fun n -> Node.addr n = addr) t.all_hosts
 
 let wire_host_to_switch t node sw ~rate ~delay ?up_qdisc ?down_qdisc () =
   let up =
@@ -204,380 +193,29 @@ type star = {
   st_server_port : int;
 }
 
-type leaf_spine = {
-  ls_hosts : Node.t array array;
-  ls_leaves : Switch.t array;
-  ls_spines : Switch.t array;
-  ls_uplinks : Link.t array array;
-  ls_leaf_routes : Routing.t array;
-}
-
-let leaf_spine t ~leaves ~spines ~hosts_per_leaf ~host_rate ~fabric_rate
-    ~delay ?uplink_qdisc () =
-  let leaf_sw =
-    Array.init leaves (fun i -> switch t (Printf.sprintf "leaf%d" i))
-  in
-  let spine_sw =
-    Array.init spines (fun i -> switch t (Printf.sprintf "spine%d" i))
-  in
-  let hosts =
-    Array.init leaves (fun l ->
-        Array.init hosts_per_leaf (fun i ->
-            host t (Printf.sprintf "h%d_%d" l i)))
-  in
-  let leaf_routes = Array.init leaves (fun _ -> Routing.create ()) in
-  let spine_routes = Array.init spines (fun _ -> Routing.create ()) in
-  (* Hosts onto their leaf. *)
-  Array.iteri
-    (fun l per_leaf ->
-      Array.iter
-        (fun h ->
-          let port =
-            wire_host_to_switch t h leaf_sw.(l) ~rate:host_rate ~delay ()
-          in
-          Routing.add leaf_routes.(l) (Node.addr h) port)
-        per_leaf)
-    hosts;
-  (* Full leaf <-> spine mesh. *)
-  let uplinks =
-    Array.init leaves (fun l ->
-        Array.init spines (fun s ->
-            let qdisc =
-              match uplink_qdisc with Some f -> Some (f ()) | None -> None
-            in
-            let up =
-              Link.create t.sim
-                ~name:(Printf.sprintf "leaf%d->spine%d" l s)
-                ~rate:fabric_rate ~delay ?qdisc ()
-            in
-            to_switch up spine_sw.(s);
-            let up_port = Switch.add_port leaf_sw.(l) up in
-            let down =
-              Link.create t.sim
-                ~name:(Printf.sprintf "spine%d->leaf%d" s l)
-                ~rate:fabric_rate ~delay ()
-            in
-            to_switch down leaf_sw.(l);
-            let down_port = Switch.add_port spine_sw.(s) down in
-            (* Remote hosts: one route entry per spine so ECMP spreads;
-               spines route statically to the owning leaf. *)
-            Array.iteri
-              (fun l' per_leaf ->
-                Array.iter
-                  (fun h ->
-                    if l' <> l then
-                      Routing.add leaf_routes.(l) (Node.addr h) up_port;
-                    if l' = l then
-                      Routing.add spine_routes.(s) (Node.addr h) down_port)
-                  per_leaf)
-              hosts;
-            up))
-  in
-  Array.iteri
-    (fun l sw -> Switch.set_forward sw (Routing.ecmp leaf_routes.(l)))
-    leaf_sw;
-  Array.iteri
-    (fun s sw -> Switch.set_forward sw (Routing.static spine_routes.(s)))
-    spine_sw;
-  { ls_hosts = hosts; ls_leaves = leaf_sw; ls_spines = spine_sw;
-    ls_uplinks = uplinks; ls_leaf_routes = leaf_routes }
-
-(* Deterministic nonzero ECMP salts for fabric switches: tier builders
-   hand switch ordinal [i] here so every table in a fabric hashes
-   flow_hash differently (see Routing.create).  Partition builders use
-   the same ordinals so split worlds forward identically. *)
-let fabric_salt i = 0x5DEECE66D + i
-
-let mk_qdisc = function Some f -> Some (f ()) | None -> None
-
 type fat_tree = {
   ft_k : int;
-  ft_base : Packet.addr;
   ft_hosts : Node.t array;
   ft_edges : Switch.t array;
   ft_aggs : Switch.t array;
   ft_cores : Switch.t array;
-  ft_edge_up : Link.t array array;
-  ft_agg_up : Link.t array array;
-  ft_edge_routes : Routing.t array;
-  ft_agg_routes : Routing.t array;
-  ft_core_routes : Routing.t array;
 }
 
-let fat_tree t ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc ()
-    =
-  if k < 2 || k mod 2 <> 0 then
-    invalid_arg "Topology.fat_tree: k must be even and >= 2";
-  let half = k / 2 in
-  let pods = k in
-  let nedges = pods * half and naggs = pods * half in
-  let ncores = half * half in
-  let nhosts = pods * half * half in
-  let base = t.next_addr in
-  let top = base + nhosts - 1 in
-  let edges =
-    Array.init nedges (fun i ->
-        switch t (Printf.sprintf "edge%d_%d" (i / half) (i mod half)))
+let fat_tree t ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc () =
+  if t.next_addr <> 0 then
+    invalid_arg "Topology.fat_tree: the topology already has hosts";
+  let net =
+    Fabric.into_sim t.sim
+      (Fabric.fat_tree ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc
+         ?host_qdisc ())
   in
-  let aggs =
-    Array.init naggs (fun i ->
-        switch t (Printf.sprintf "agg%d_%d" (i / half) (i mod half)))
-  in
-  let cores = Array.init ncores (fun i -> switch t (Printf.sprintf "core%d" i)) in
-  let edge_routes =
-    Array.init nedges (fun i -> Routing.create ~salt:(fabric_salt i) ())
-  in
-  let agg_routes =
-    Array.init naggs (fun i ->
-        Routing.create ~salt:(fabric_salt (nedges + i)) ())
-  in
-  let core_routes =
-    Array.init ncores (fun i ->
-        Routing.create ~salt:(fabric_salt (nedges + naggs + i)) ())
-  in
-  (* Hosts in address order: pod-major, edge-major. *)
-  let hosts =
-    Array.init nhosts (fun i ->
-        let pod = i / (half * half) in
-        let rem = i mod (half * half) in
-        host t (Printf.sprintf "h%d_%d_%d" pod (rem / half) (rem mod half)))
-  in
-  Array.iteri
-    (fun i h ->
-      let e = i / half in
-      let down_qdisc = mk_qdisc host_qdisc in
-      let port =
-        wire_host_to_switch t h edges.(e) ~rate:host_rate ~delay ?down_qdisc
-          ()
-      in
-      Routing.add edge_routes.(e) (Node.addr h) port)
-    hosts;
-  (* Edge <-> agg mesh within each pod.  Remote destinations at an edge
-     are two intervals (below / above its own hosts) sharing the k/2
-     uplink ports; each agg statically owns its edges' host blocks. *)
-  let edge_up =
-    Array.init nedges (fun ei ->
-        let pod = ei / half in
-        let my_lo = base + (ei * half) and my_hi = base + (ei * half) + half - 1 in
-        Array.init half (fun a ->
-            let ai = (pod * half) + a in
-            let qdisc = mk_qdisc uplink_qdisc in
-            let up =
-              Link.create t.sim
-                ~name:(Printf.sprintf "%s->%s" (Switch.name edges.(ei))
-                         (Switch.name aggs.(ai)))
-                ~rate:fabric_rate ~delay ?qdisc ()
-            in
-            to_switch up aggs.(ai);
-            let up_port = Switch.add_port edges.(ei) up in
-            let down =
-              Link.create t.sim
-                ~name:(Printf.sprintf "%s->%s" (Switch.name aggs.(ai))
-                         (Switch.name edges.(ei)))
-                ~rate:fabric_rate ~delay ()
-            in
-            to_switch down edges.(ei);
-            let down_port = Switch.add_port aggs.(ai) down in
-            Routing.add_range agg_routes.(ai) ~lo:my_lo ~hi:my_hi down_port;
-            if my_lo > base then
-              Routing.add_range edge_routes.(ei) ~lo:base ~hi:(my_lo - 1)
-                up_port;
-            if my_hi < top then
-              Routing.add_range edge_routes.(ei) ~lo:(my_hi + 1) ~hi:top
-                up_port;
-            up))
-  in
-  (* Agg <-> core: agg [a] of every pod meshes with cores
-     [a*k/2 .. a*k/2 + k/2 - 1]; cores statically own whole pods. *)
-  let agg_up =
-    Array.init naggs (fun ai ->
-        let pod = ai / half and a = ai mod half in
-        let pod_lo = base + (pod * half * half) in
-        let pod_hi = base + ((pod + 1) * half * half) - 1 in
-        Array.init half (fun j ->
-            let ci = (a * half) + j in
-            let qdisc = mk_qdisc uplink_qdisc in
-            let up =
-              Link.create t.sim
-                ~name:(Printf.sprintf "%s->%s" (Switch.name aggs.(ai))
-                         (Switch.name cores.(ci)))
-                ~rate:fabric_rate ~delay ?qdisc ()
-            in
-            to_switch up cores.(ci);
-            let up_port = Switch.add_port aggs.(ai) up in
-            let down =
-              Link.create t.sim
-                ~name:(Printf.sprintf "%s->%s" (Switch.name cores.(ci))
-                         (Switch.name aggs.(ai)))
-                ~rate:fabric_rate ~delay ()
-            in
-            to_switch down aggs.(ai);
-            let down_port = Switch.add_port cores.(ci) down in
-            Routing.add_range core_routes.(ci) ~lo:pod_lo ~hi:pod_hi
-              down_port;
-            if pod_lo > base then
-              Routing.add_range agg_routes.(ai) ~lo:base ~hi:(pod_lo - 1)
-                up_port;
-            if pod_hi < top then
-              Routing.add_range agg_routes.(ai) ~lo:(pod_hi + 1) ~hi:top
-                up_port;
-            up))
-  in
-  Array.iteri
-    (fun i sw -> Switch.set_forward sw (Routing.ecmp edge_routes.(i)))
-    edges;
-  Array.iteri
-    (fun i sw -> Switch.set_forward sw (Routing.ecmp agg_routes.(i)))
-    aggs;
-  Array.iteri
-    (fun i sw -> Switch.set_forward sw (Routing.ecmp core_routes.(i)))
-    cores;
-  { ft_k = k; ft_base = base; ft_hosts = hosts; ft_edges = edges;
-    ft_aggs = aggs; ft_cores = cores; ft_edge_up = edge_up;
-    ft_agg_up = agg_up; ft_edge_routes = edge_routes;
-    ft_agg_routes = agg_routes; ft_core_routes = core_routes }
-
-type multi_tier = {
-  mt_pods : int;
-  mt_leaves_per_pod : int;
-  mt_base : Packet.addr;
-  mt_hosts : Node.t array;
-  mt_leaves : Switch.t array;
-  mt_spines : Switch.t array;
-  mt_supers : Switch.t array;
-  mt_leaf_routes : Routing.t array;
-  mt_spine_routes : Routing.t array;
-  mt_super_routes : Routing.t array;
-}
-
-let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
-    ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc () =
-  if pods < 1 || leaves < 1 || spines < 1 || hosts_per_leaf < 1 then
-    invalid_arg "Topology.multi_leaf_spine: all tiers must be positive";
-  if pods > 1 && supers < 1 then
-    invalid_arg "Topology.multi_leaf_spine: multi-pod needs super-spines";
-  let nleaves = pods * leaves and nspines = pods * spines in
-  let nhosts = pods * leaves * hosts_per_leaf in
-  let hosts_per_pod = leaves * hosts_per_leaf in
-  let base = t.next_addr in
-  let top = base + nhosts - 1 in
-  let leaf_sw =
-    Array.init nleaves (fun i ->
-        switch t (Printf.sprintf "leaf%d_%d" (i / leaves) (i mod leaves)))
-  in
-  let spine_sw =
-    Array.init nspines (fun i ->
-        switch t (Printf.sprintf "spine%d_%d" (i / spines) (i mod spines)))
-  in
-  let super_sw =
-    Array.init supers (fun i -> switch t (Printf.sprintf "super%d" i))
-  in
-  let leaf_routes =
-    Array.init nleaves (fun i -> Routing.create ~salt:(fabric_salt i) ())
-  in
-  let spine_routes =
-    Array.init nspines (fun i ->
-        Routing.create ~salt:(fabric_salt (nleaves + i)) ())
-  in
-  let super_routes =
-    Array.init supers (fun i ->
-        Routing.create ~salt:(fabric_salt (nleaves + nspines + i)) ())
-  in
-  let hosts =
-    Array.init nhosts (fun i ->
-        let pod = i / hosts_per_pod in
-        let rem = i mod hosts_per_pod in
-        host t
-          (Printf.sprintf "h%d_%d_%d" pod (rem / hosts_per_leaf)
-             (rem mod hosts_per_leaf)))
-  in
-  Array.iteri
-    (fun i h ->
-      let l = i / hosts_per_leaf in
-      let down_qdisc = mk_qdisc host_qdisc in
-      let port =
-        wire_host_to_switch t h leaf_sw.(l) ~rate:host_rate ~delay
-          ?down_qdisc ()
-      in
-      Routing.add leaf_routes.(l) (Node.addr h) port)
-    hosts;
-  (* Leaf <-> spine mesh within each pod; interval routes. *)
-  for li = 0 to nleaves - 1 do
-    let pod = li / leaves in
-    let my_lo = base + (li * hosts_per_leaf) in
-    let my_hi = my_lo + hosts_per_leaf - 1 in
-    for s = 0 to spines - 1 do
-      let si = (pod * spines) + s in
-      let qdisc = mk_qdisc uplink_qdisc in
-      let up =
-        Link.create t.sim
-          ~name:(Printf.sprintf "%s->%s" (Switch.name leaf_sw.(li))
-                   (Switch.name spine_sw.(si)))
-          ~rate:fabric_rate ~delay ?qdisc ()
-      in
-      to_switch up spine_sw.(si);
-      let up_port = Switch.add_port leaf_sw.(li) up in
-      let down =
-        Link.create t.sim
-          ~name:(Printf.sprintf "%s->%s" (Switch.name spine_sw.(si))
-                   (Switch.name leaf_sw.(li)))
-          ~rate:fabric_rate ~delay ()
-      in
-      to_switch down leaf_sw.(li);
-      let down_port = Switch.add_port spine_sw.(si) down in
-      Routing.add_range spine_routes.(si) ~lo:my_lo ~hi:my_hi down_port;
-      if my_lo > base then
-        Routing.add_range leaf_routes.(li) ~lo:base ~hi:(my_lo - 1) up_port;
-      if my_hi < top then
-        Routing.add_range leaf_routes.(li) ~lo:(my_hi + 1) ~hi:top up_port
-    done
-  done;
-  (* Spine <-> super full mesh (only when multi-pod). *)
-  if pods > 1 then
-    for si = 0 to nspines - 1 do
-      let pod = si / spines in
-      let pod_lo = base + (pod * hosts_per_pod) in
-      let pod_hi = pod_lo + hosts_per_pod - 1 in
-      for u = 0 to supers - 1 do
-        let qdisc = mk_qdisc uplink_qdisc in
-        let up =
-          Link.create t.sim
-            ~name:(Printf.sprintf "%s->%s" (Switch.name spine_sw.(si))
-                     (Switch.name super_sw.(u)))
-            ~rate:fabric_rate ~delay ?qdisc ()
-        in
-        to_switch up super_sw.(u);
-        let up_port = Switch.add_port spine_sw.(si) up in
-        let down =
-          Link.create t.sim
-            ~name:(Printf.sprintf "%s->%s" (Switch.name super_sw.(u))
-                     (Switch.name spine_sw.(si)))
-            ~rate:fabric_rate ~delay ()
-        in
-        to_switch down spine_sw.(si);
-        let down_port = Switch.add_port super_sw.(u) down in
-        Routing.add_range super_routes.(u) ~lo:pod_lo ~hi:pod_hi down_port;
-        if pod_lo > base then
-          Routing.add_range spine_routes.(si) ~lo:base ~hi:(pod_lo - 1)
-            up_port;
-        if pod_hi < top then
-          Routing.add_range spine_routes.(si) ~lo:(pod_hi + 1) ~hi:top
-            up_port
-      done
-    done;
-  Array.iteri
-    (fun i sw -> Switch.set_forward sw (Routing.ecmp leaf_routes.(i)))
-    leaf_sw;
-  Array.iteri
-    (fun i sw -> Switch.set_forward sw (Routing.ecmp spine_routes.(i)))
-    spine_sw;
-  Array.iteri
-    (fun i sw -> Switch.set_forward sw (Routing.ecmp super_routes.(i)))
-    super_sw;
-  { mt_pods = pods; mt_leaves_per_pod = leaves; mt_base = base;
-    mt_hosts = hosts; mt_leaves = leaf_sw; mt_spines = spine_sw;
-    mt_supers = super_sw; mt_leaf_routes = leaf_routes;
-    mt_spine_routes = spine_routes; mt_super_routes = super_routes }
+  t.next_addr <- Array.length net.Fabric.hosts;
+  let tier = k * k / 2 in
+  { ft_k = k;
+    ft_hosts = net.Fabric.hosts;
+    ft_edges = Array.sub net.Fabric.switches 0 tier;
+    ft_aggs = Array.sub net.Fabric.switches tier tier;
+    ft_cores = Array.sub net.Fabric.switches (2 * tier) (k * k / 4) }
 
 let star t ~n ~rate ~delay ?server_qdisc () =
   let sw = switch t "star" in

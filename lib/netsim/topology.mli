@@ -3,11 +3,7 @@
 
 type t
 
-val create : ?first_addr:int -> Engine.Sim.t -> t
-(** [first_addr] (default 0) starts host address allocation higher —
-    partitioned builds ({!Partition}) give each partition's topology a
-    disjoint address range so a split world reproduces the same
-    addresses as its single-sim counterpart. *)
+val create : Engine.Sim.t -> t
 
 val sim : t -> Engine.Sim.t
 
@@ -15,12 +11,6 @@ val host : t -> string -> Node.t
 (** Fresh host with a unique address. *)
 
 val switch : t -> string -> Switch.t
-
-val hosts : t -> Node.t list
-(** All hosts created so far, in creation order. *)
-
-val host_by_addr : t -> Packet.addr -> Node.t
-(** @raise Not_found for unknown addresses. *)
 
 (** {1 Wiring} *)
 
@@ -156,56 +146,14 @@ val star :
 (** [n] clients and one server on a single switch with destination
     routing installed — the incast/offload playground. *)
 
-type leaf_spine = {
-  ls_hosts : Node.t array array;  (** [ls_hosts.(leaf).(i)]. *)
-  ls_leaves : Switch.t array;
-  ls_spines : Switch.t array;
-  ls_uplinks : Link.t array array;  (** [ls_uplinks.(leaf).(spine)]. *)
-  ls_leaf_routes : Routing.t array;
-      (** Per-leaf table: local hosts on their ports, every remote host
-          registered once per spine uplink (so [Routing.ecmp] spreads
-          across spines). *)
-}
-
-val leaf_spine :
-  t ->
-  leaves:int ->
-  spines:int ->
-  hosts_per_leaf:int ->
-  host_rate:Engine.Time.rate ->
-  fabric_rate:Engine.Time.rate ->
-  delay:Engine.Time.t ->
-  ?uplink_qdisc:(unit -> Qdisc.t) ->
-  unit ->
-  leaf_spine
-(** A two-tier Clos: every leaf connects to every spine at
-    [fabric_rate].  Leaves forward with {!Routing.ecmp} by default
-    (override via [ls_leaf_routes]); spines route statically to the
-    destination leaf.  [uplink_qdisc] creates the queue for each
-    leaf→spine link (spine→leaf and host links use defaults). *)
-
-val fabric_salt : int -> int
-(** Deterministic nonzero ECMP salt for fabric switch ordinal [i]
-    (see {!Routing.create}); {!fat_tree}, {!multi_leaf_spine} and the
-    {!Partition} builders share it so split worlds forward
-    identically. *)
-
 type fat_tree = {
   ft_k : int;
-  ft_base : Packet.addr;  (** Address of host 0. *)
   ft_hosts : Node.t array;
-      (** In address order: host [i] has address [ft_base + i] and
-          lives in pod [i / (k²/4)], edge [(i mod k²/4) / (k/2)]. *)
+      (** In address order: host [i] has address [i] and lives in pod
+          [i / (k²/4)], edge [(i mod k²/4) / (k/2)]. *)
   ft_edges : Switch.t array;  (** [pod·k/2 + e]. *)
   ft_aggs : Switch.t array;  (** [pod·k/2 + a]. *)
   ft_cores : Switch.t array;  (** [(k/2)²] of them. *)
-  ft_edge_up : Link.t array array;
-      (** [ft_edge_up.(edge).(a)]: edge→agg uplink. *)
-  ft_agg_up : Link.t array array;
-      (** [ft_agg_up.(agg).(j)]: agg→core uplink (core [a·k/2 + j]). *)
-  ft_edge_routes : Routing.t array;
-  ft_agg_routes : Routing.t array;
-  ft_core_routes : Routing.t array;
 }
 
 val fat_tree :
@@ -218,49 +166,6 @@ val fat_tree :
   ?host_qdisc:(unit -> Qdisc.t) ->
   unit ->
   fat_tree
-(** Canonical k-ary fat-tree (k even): k pods of k/2 edge + k/2 agg
-    switches, (k/2)² cores, k³/4 hosts.  All routing is by address
-    {e interval} ({!Routing.add_range}): remote destinations at an
-    edge are two ranges sharing the k/2 agg uplinks, aggs own their
-    pod's edge blocks downward and split the (k/2) core uplinks by
-    range upward, cores own whole pods — so table state per switch is
-    O(k), not O(hosts).  Every tier forwards with salted
-    {!Routing.ecmp} ({!fabric_salt}), giving (k/2)² distinct
-    inter-pod paths across flows.  [uplink_qdisc] builds each
-    switch-to-switch upward queue, [host_qdisc] each edge→host
-    downlink queue (incast bottleneck). *)
-
-type multi_tier = {
-  mt_pods : int;
-  mt_leaves_per_pod : int;
-  mt_base : Packet.addr;
-  mt_hosts : Node.t array;  (** In address order, pod-major. *)
-  mt_leaves : Switch.t array;  (** [pod·leaves + l]. *)
-  mt_spines : Switch.t array;  (** [pod·spines + s]. *)
-  mt_supers : Switch.t array;
-  mt_leaf_routes : Routing.t array;
-  mt_spine_routes : Routing.t array;
-  mt_super_routes : Routing.t array;
-}
-
-val multi_leaf_spine :
-  t ->
-  pods:int ->
-  leaves:int ->
-  spines:int ->
-  supers:int ->
-  hosts_per_leaf:int ->
-  host_rate:Engine.Time.rate ->
-  fabric_rate:Engine.Time.rate ->
-  delay:Engine.Time.t ->
-  ?uplink_qdisc:(unit -> Qdisc.t) ->
-  ?host_qdisc:(unit -> Qdisc.t) ->
-  unit ->
-  multi_tier
-(** Generalized multi-tier Clos: [pods] two-tier leaf-spine blocks
-    whose spines all mesh with [supers] super-spines.  [pods = 1] with
-    [supers = 0] degenerates to a two-tier leaf-spine built on
-    interval routes.  Like {!fat_tree}, every tier forwards with
-    salted {!Routing.ecmp} over {!Routing.add_range} intervals, so
-    state per switch is O(ports), and inter-pod flows fan out over
-    spines × supers paths. *)
+(** {!Fabric.fat_tree} built by {!Fabric.into_sim} on a topology with
+    no hosts yet, viewed by tier.  Edge host ports come first: host
+    [i] is port [i mod k/2] of its edge. *)

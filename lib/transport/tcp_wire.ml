@@ -35,9 +35,3 @@ let pp fmt seg =
     (if seg.ece then " ECE" else "")
     (if seg.probe then " PROBE" else "")
     "" seg.payload seg.rwnd
-
-(* Tracer integration: human-readable summaries in packet dumps. *)
-let () =
-  Netsim.Tracer.register_printer (function
-    | Tcp seg -> Some (Format.asprintf "%a" pp seg)
-    | _ -> None)

@@ -22,14 +22,23 @@ let is_header line =
 let title_of line = String.sub line 3 (String.length line - 6)
 
 (* (title, digest) per exhibit, in order.  Lines before the first
-   header, if any, form an exhibit titled "(preamble)". *)
+   header, if any, form an exhibit titled "(preamble)".  A title seen
+   before gets its occurrence number appended ("<title> #2"), so runs
+   of one exhibit under different flags stay distinct entries. *)
 let sections ic =
   let out = ref [] in
   let title = ref "(preamble)" in
+  let titles = ref [] in
   let buf = Buffer.create 4096 in
   let flush () =
-    if Buffer.length buf > 0 then
-      out := (!title, Digest.to_hex (Digest.string (Buffer.contents buf))) :: !out;
+    if Buffer.length buf > 0 then begin
+      let seen = List.length (List.filter (String.equal !title) !titles) in
+      titles := !title :: !titles;
+      let key =
+        if seen = 0 then !title else Printf.sprintf "%s #%d" !title (seen + 1)
+      in
+      out := (key, Digest.to_hex (Digest.string (Buffer.contents buf))) :: !out
+    end;
     Buffer.clear buf
   in
   (try

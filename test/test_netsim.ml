@@ -533,7 +533,7 @@ let test_routing_ecmp_salt_decorrelates () =
      the unsalted pick on every flow (that correlation is exactly what
      collapses fat-tree path diversity). *)
   let plain = Routing.create () in
-  let salted = Routing.create ~salt:(Topology.fabric_salt 1) () in
+  let salted = Routing.create ~salt:(Fabric.salt 1) () in
   List.iter
     (fun r ->
       Routing.add r 5 0;
@@ -675,52 +675,43 @@ let test_star_connectivity () =
   Engine.Sim.run sim;
   checki "all clients reach server" 3 !got
 
-let test_leaf_spine_connectivity () =
+let mk_leaf_spine ~leaves ~spines ~hosts_per_leaf =
   let sim = Engine.Sim.create () in
-  let topo = Topology.create sim in
-  let ls =
-    Topology.leaf_spine topo ~leaves:3 ~spines:2 ~hosts_per_leaf:2
+  let d =
+    Fabric.leaf_spine ~leaves ~spines ~hosts_per_leaf
       ~host_rate:(Engine.Time.gbps 10) ~fabric_rate:(Engine.Time.gbps 10)
       ~delay:(Engine.Time.us 1) ()
   in
-  let got = Array.make 6 0 in
+  (sim, d, Fabric.into_sim sim d)
+
+(* Every host sends one packet to every other host; returns per-host
+   receive counts. *)
+let full_mesh sim hosts =
+  let got = Array.make (Array.length hosts) 0 in
   Array.iteri
-    (fun l row ->
-      Array.iteri
-        (fun i h ->
-          Node.set_handler h (fun _ ->
-              got.((l * 2) + i) <- got.((l * 2) + i) + 1))
-        row)
-    ls.Topology.ls_hosts;
-  (* Every host sends one packet to every other host. *)
+    (fun i h -> Node.set_handler h (fun _ -> got.(i) <- got.(i) + 1))
+    hosts;
   Array.iter
-    (fun row ->
+    (fun src ->
       Array.iter
-        (fun src ->
-          Array.iter
-            (fun row' ->
-              Array.iter
-                (fun dst ->
-                  if Node.addr src <> Node.addr dst then
-                    Node.send src
-                      (pkt ~src:(Node.addr src) ~dst:(Node.addr dst) ()))
-                row')
-            ls.Topology.ls_hosts)
-        row)
-    ls.Topology.ls_hosts;
+        (fun dst ->
+          if Node.addr src <> Node.addr dst then
+            Node.send src (pkt ~src:(Node.addr src) ~dst:(Node.addr dst) ()))
+        hosts)
+    hosts;
   Engine.Sim.run sim;
-  Array.iteri (fun i n -> checki (Printf.sprintf "host %d" i) 5 n) got
+  got
+
+let test_leaf_spine_connectivity () =
+  let sim, _, net = mk_leaf_spine ~leaves:3 ~spines:2 ~hosts_per_leaf:2 in
+  Array.iteri
+    (fun i n -> checki (Printf.sprintf "host %d" i) 5 n)
+    (full_mesh sim net.Fabric.hosts)
 
 let test_leaf_spine_ecmp_spreads_uplinks () =
-  let sim = Engine.Sim.create () in
-  let topo = Topology.create sim in
-  let ls =
-    Topology.leaf_spine topo ~leaves:2 ~spines:2 ~hosts_per_leaf:2
-      ~host_rate:(Engine.Time.gbps 10) ~fabric_rate:(Engine.Time.gbps 10)
-      ~delay:(Engine.Time.us 1) ()
-  in
-  let src = ls.Topology.ls_hosts.(0).(0) in
-  let dst = ls.Topology.ls_hosts.(1).(0) in
+  let sim, d, net = mk_leaf_spine ~leaves:2 ~spines:2 ~hosts_per_leaf:2 in
+  let src = net.Fabric.hosts.(0) in
+  let dst = net.Fabric.hosts.(2) in
   Node.set_handler dst (fun _ -> ());
   (* Many flows (distinct hashes) from one host: both uplinks used. *)
   for flow = 1 to 64 do
@@ -729,13 +720,18 @@ let test_leaf_spine_ecmp_spreads_uplinks () =
          ())
   done;
   Engine.Sim.run sim;
-  Array.iter
-    (fun link ->
+  List.iter
+    (fun spine ->
+      let link =
+        net.Fabric.links.(Fabric.link_index d
+                            ~src:(Fabric.node_index d "leaf0")
+                            ~dst:(Fabric.node_index d spine))
+      in
       checkb
         (Printf.sprintf "uplink %s used" (Link.name link))
         true
         (Link.bytes_sent link > 0))
-    ls.Topology.ls_uplinks.(0)
+    [ "spine0"; "spine1" ]
 
 let mk_fat_tree ?(k = 4) () =
   let sim = Engine.Sim.create () in
@@ -752,9 +748,9 @@ let test_fat_tree_structure () =
   checki "edges = k^2/2" 8 (Array.length ft.Topology.ft_edges);
   checki "aggs = k^2/2" 8 (Array.length ft.Topology.ft_aggs);
   checki "cores = (k/2)^2" 4 (Array.length ft.Topology.ft_cores);
-  (* Addresses are dense and pod-major from ft_base. *)
+  (* Addresses are dense and pod-major from 0. *)
   Array.iteri
-    (fun i h -> checki "dense addressing" (ft.Topology.ft_base + i) (Node.addr h))
+    (fun i h -> checki "dense addressing" i (Node.addr h))
     ft.Topology.ft_hosts;
   match Topology.fat_tree (Topology.create psim) ~k:3
           ~host_rate:(Engine.Time.gbps 1) ~fabric_rate:(Engine.Time.gbps 1)
@@ -831,119 +827,172 @@ let test_fat_tree_ecmp_uses_all_cores () =
         (Switch.received core > 0))
     ft.Topology.ft_cores
 
+let mk_multi_leaf_spine ?uplink_qdisc ?host_qdisc () =
+  Fabric.multi_leaf_spine ~pods:2 ~leaves:2 ~spines:2 ~supers:2
+    ~hosts_per_leaf:2 ~host_rate:(Engine.Time.gbps 10)
+    ~fabric_rate:(Engine.Time.gbps 10) ~delay:(Engine.Time.us 1) ?uplink_qdisc
+    ?host_qdisc ()
+
 let test_multi_leaf_spine_connectivity () =
   let sim = Engine.Sim.create () in
-  let topo = Topology.create sim in
-  let mt =
-    Topology.multi_leaf_spine topo ~pods:2 ~leaves:2 ~spines:2 ~supers:2
-      ~hosts_per_leaf:2 ~host_rate:(Engine.Time.gbps 10)
-      ~fabric_rate:(Engine.Time.gbps 10) ~delay:(Engine.Time.us 1) ()
-  in
-  let n = Array.length mt.Topology.mt_hosts in
+  let net = Fabric.into_sim sim (mk_multi_leaf_spine ()) in
+  let n = Array.length net.Fabric.hosts in
   checki "hosts = pods*leaves*hpl" 8 n;
-  let got = Array.make n 0 in
-  Array.iteri
-    (fun i h -> Node.set_handler h (fun _ -> got.(i) <- got.(i) + 1))
-    mt.Topology.mt_hosts;
-  Array.iter
-    (fun src ->
-      Array.iter
-        (fun dst ->
-          if Node.addr src <> Node.addr dst then
-            Node.send src (pkt ~src:(Node.addr src) ~dst:(Node.addr dst) ()))
-        mt.Topology.mt_hosts)
-    mt.Topology.mt_hosts;
-  Engine.Sim.run sim;
   Array.iteri
     (fun i c -> checki (Printf.sprintf "host %d full mesh" i) (n - 1) c)
-    got
+    (full_mesh sim net.Fabric.hosts)
 
-(* ------------------------------ Monitor ---------------------------- *)
-
-let test_tracer_records_link_and_switch () =
-  let sim = Engine.Sim.create () in
-  let topo = Topology.create sim in
-  let st =
-    Topology.star topo ~n:2 ~rate:(Engine.Time.gbps 10)
-      ~delay:(Engine.Time.us 1) ()
+(* The same description built into one sim and into partitions at its
+   canonical placement must be the same fabric: hosts, switch ports in
+   order (by name and rate, with the conduit carrying a cut link's
+   propagation), salts and registered routes. *)
+let check_same_fabric label d =
+  let single = Fabric.into_sim (Engine.Sim.create ()) d in
+  let parts = Fabric.into_partitions ~seed:7 ~place:(Fabric.by_pod d) d in
+  let split = parts.Fabric.net in
+  checkb (label ^ ": several partitions") true
+    (Partition.nparts parts.Fabric.world > 1);
+  let n = Array.length single.Fabric.hosts in
+  checki (label ^ ": host count") n (Array.length split.Fabric.hosts);
+  Array.iteri
+    (fun i h ->
+      let h' = split.Fabric.hosts.(i) in
+      Alcotest.(check string) (label ^ ": host name") (Node.name h) (Node.name h');
+      checki (label ^ ": host addr") (Node.addr h) (Node.addr h');
+      Alcotest.(check string) (label ^ ": host uplink")
+        (Link.name (Node.uplink h)) (Link.name (Node.uplink h')))
+    single.Fabric.hosts;
+  let index_of links l =
+    let rec go i = if links.(i) == l then i else go (i + 1) in
+    go 0
   in
-  let tr = Tracer.create () in
-  Tracer.tap_switch tr st.Topology.st_switch;
-  Tracer.tap_link tr
-    (Switch.port st.Topology.st_switch st.Topology.st_server_port);
-  Node.set_handler st.Topology.st_server (fun _ -> ());
-  Node.send st.Topology.st_clients.(0)
-    (pkt
-       ~src:(Node.addr st.Topology.st_clients.(0))
-       ~dst:(Node.addr st.Topology.st_server)
-       ());
-  Engine.Sim.run sim;
-  (* Seen once at the switch, once on the server downlink. *)
-  checki "two observation points" 2 (Tracer.count tr);
-  let at_switch =
-    Tracer.filter tr ~f:(fun e -> e.Tracer.point = "star")
-  in
-  checki "switch tap" 1 (List.length at_switch);
-  (match Tracer.entries tr with
-  | first :: second :: _ ->
-    checkb "time ordering" true (first.Tracer.at <= second.Tracer.at)
-  | _ -> Alcotest.fail "missing entries");
-  checkb "raw payload described" true
-    (List.for_all (fun e -> e.Tracer.info = "raw") (Tracer.entries tr))
-
-let test_tracer_describes_protocols () =
-  let sim = Engine.Sim.create () in
-  let topo = Topology.create sim in
-  let a = Topology.host topo "a" and b = Topology.host topo "b" in
-  let ab, _ =
-    Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
-      ~delay:(Engine.Time.us 1) ()
-  in
-  let tr = Tracer.create () in
-  Tracer.tap_link tr ab;
-  let ea = Mtp.Endpoint.create a and eb = Mtp.Endpoint.create b in
-  Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
-  ignore (Mtp.Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~size:1000 ());
-  Engine.Sim.run sim;
-  checkb "mtp packets described" true
-    (List.exists
-       (fun e -> Astring_like.contains e.Tracer.info "mtp msg=")
-       (Tracer.entries tr))
-
-let test_tracer_bounded () =
-  let tr = Tracer.create ~capacity:16 () in
-  let sim = Engine.Sim.create () in
-  let link =
-    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 100) ~delay:0 ()
-  in
-  Link.set_dst link (fun _ -> ());
-  Tracer.tap_link tr link;
-  for _ = 1 to 200 do
-    Link.send link (pkt ())
-  done;
-  Engine.Sim.run sim;
-  checki "all counted" 200 (Tracer.count tr);
-  checkb "retention bounded" true (List.length (Tracer.entries tr) <= 16)
-
-let test_monitor_link_throughput () =
-  let sim = Engine.Sim.create () in
-  let link =
-    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10) ~delay:0 ()
-  in
-  Link.set_dst link (fun _ -> ());
-  let series =
-    Monitor.link_throughput sim link ~interval:(Engine.Time.us 10)
-      ~until:(Engine.Time.us 100) ()
-  in
-  (* Saturate the 10 Gbps link. *)
-  ignore @@ Engine.Sim.periodic sim ~interval:(Engine.Time.us 1) (fun () ->
-      for _ = 1 to 2 do
-        Link.send link (pkt ())
+  Array.iteri
+    (fun si sw ->
+      let sw' = split.Fabric.switches.(si) in
+      let name = Switch.name sw in
+      Alcotest.(check string) (label ^ ": switch name") name (Switch.name sw');
+      checki (name ^ ": port count") (Switch.port_count sw)
+        (Switch.port_count sw');
+      for p = 0 to Switch.port_count sw - 1 do
+        let l = Switch.port sw p and l' = Switch.port sw' p in
+        let i' = index_of split.Fabric.links l' in
+        Alcotest.(check string) (name ^ ": port link") (Link.name l)
+          (Link.name l');
+        checki (name ^ ": port rate") (Link.rate l) (Link.rate l');
+        Alcotest.(check string) (name ^ ": port qdisc")
+          (Link.qdisc l).Qdisc.name (Link.qdisc l').Qdisc.name;
+        checki (name ^ ": port delay") (Link.delay l)
+          (Link.delay l' + parts.Fabric.cut_delay.(i'))
       done;
-      Engine.Sim.now sim < Engine.Time.us 100);
-  Engine.Sim.run sim;
-  let mean = Stats.Timeseries.mean series in
-  checkb "near line rate" true (mean > 8.0 && mean < 10.5)
+      let tbl = single.Fabric.tables.(si) and tbl' = split.Fabric.tables.(si) in
+      (* Same salt: same ECMP choice for every flow hash. *)
+      Array.iter
+        (fun h ->
+          let probe = pkt ~dst:(Node.addr h) () in
+          for f = 0 to 31 do
+            probe.Packet.flow_hash <- f * 7919;
+            checki (name ^ ": ecmp choice") (Routing.ecmp_port tbl probe)
+              (Routing.ecmp_port tbl' probe)
+          done;
+          Alcotest.(check (array int))
+            (name ^ ": registered ports")
+            (Routing.registered_ports_for tbl (Node.addr h))
+            (Routing.registered_ports_for tbl' (Node.addr h)))
+        single.Fabric.hosts)
+    single.Fabric.switches
+
+let test_fabric_instantiators_agree () =
+  let rate = Engine.Time.gbps 10 and delay = Engine.Time.us 1 in
+  check_same_fabric "leaf-spine"
+    (Fabric.leaf_spine ~leaves:3 ~spines:2 ~hosts_per_leaf:2 ~host_rate:rate
+       ~fabric_rate:rate ~delay ());
+  check_same_fabric "fat-tree"
+    (Fabric.fat_tree ~k:4 ~host_rate:rate ~fabric_rate:(2 * rate) ~delay
+       ~host_qdisc:(fun () -> Qdisc.ecn ~cap_pkts:64 ~mark_threshold:8 ())
+       ());
+  check_same_fabric "multi-tier" (mk_multi_leaf_spine ())
+
+(* A 2-pod multi-tier Clos split by pod, driven by raw pooled
+   packets: every host sends a burst to its peer in the other pod.
+   Returns the ledger verdict, the end-to-end counts and a digest of
+   every device counter. *)
+let run_partitioned_multi_tier ~jobs =
+  let d =
+    mk_multi_leaf_spine
+      ~uplink_qdisc:(fun () -> Qdisc.fifo ~cap_pkts:6 ())
+      ()
+  in
+  let parts = Fabric.into_partitions ~seed:11 ~place:(Fabric.by_pod d) d in
+  let world = parts.Fabric.world and net = parts.Fabric.net in
+  let ledger = Check.Ledger.create () in
+  Array.iter (Check.Ledger.watch_link ledger) net.Fabric.links;
+  Array.iter (Check.Ledger.watch_switch ledger) net.Fabric.switches;
+  let pools =
+    Array.init (Partition.nparts world) (fun p ->
+        Packet.pool (Partition.sim world p))
+  in
+  let hosts = net.Fabric.hosts in
+  let n = Array.length hosts in
+  let got = Array.make n 0 in
+  Array.iteri
+    (fun i h ->
+      (* Released into the receiving partition's own pool. *)
+      let pool = pools.(parts.Fabric.host_part.(i)) in
+      Node.set_handler h (fun p ->
+          got.(i) <- got.(i) + 1;
+          Packet.release pool p))
+    hosts;
+  Array.iteri
+    (fun i h ->
+      let p = parts.Fabric.host_part.(i) in
+      let dst = Node.addr hosts.((i + (n / 2)) mod n) in
+      for k = 0 to 19 do
+        ignore
+          (Engine.Sim.schedule (Partition.sim world p)
+             ~at:(Engine.Time.ns (100 * k))
+             (fun () ->
+               Link.send (Node.uplink h)
+                 (Packet.recycle pools.(p) ~flow_hash:((i * 31) + k)
+                    ~src:(Node.addr h) ~dst ~size:1500 ())))
+      done)
+    hosts;
+  Partition.run ~jobs ~until:(Engine.Time.us 200) world;
+  let sum f a = Array.fold_left (fun acc x -> acc + f x) 0 a in
+  let sent = sum (fun h -> Link.sends (Node.uplink h)) hosts in
+  let drops = sum (fun l -> (Link.qdisc l).Qdisc.drops ()) net.Fabric.links in
+  let live = sum Packet.pool_live pools in
+  let buf = Buffer.create 1024 in
+  Array.iter
+    (fun l ->
+      Printf.bprintf buf "%s %d %d %d\n" (Link.name l) (Link.sends l)
+        (Link.delivered_pkts l) (Link.bytes_sent l))
+    net.Fabric.links;
+  Array.iter
+    (fun sw ->
+      Printf.bprintf buf "%s %d %d\n" (Switch.name sw) (Switch.received sw)
+        (Switch.forwarded sw))
+    net.Fabric.switches;
+  Array.iter (Printf.bprintf buf "%d ") got;
+  for p = 0 to Partition.nparts world - 1 do
+    Printf.bprintf buf "\npart %d end=%d" p
+      (Engine.Sim.now (Partition.sim world p))
+  done;
+  ( Check.Ledger.failures ledger,
+    (sent, sum Fun.id got, drops, live),
+    Buffer.contents buf )
+
+let test_partitioned_multi_tier_runs () =
+  let failures, (sent, received, drops, live), digest =
+    run_partitioned_multi_tier ~jobs:1
+  in
+  Alcotest.(check (list string)) "ledger conserved" [] failures;
+  checki "every packet sent" (8 * 20) sent;
+  checkb "some cross the pod cut" true (received > 0);
+  checki "sent = received + dropped" sent (received + drops);
+  checki "dropped packets are the only ones not back in a pool" drops live;
+  let failures2, _, digest2 = run_partitioned_multi_tier ~jobs:2 in
+  Alcotest.(check (list string)) "ledger conserved at jobs=2" [] failures2;
+  Alcotest.(check string) "jobs=2 digest" digest digest2
 
 (* ----------------------------- Pktring ----------------------------- *)
 
@@ -1277,7 +1326,7 @@ let suite =
       test_fat_tree_ecmp_uses_all_cores;
     Alcotest.test_case "multi-tier leaf-spine connectivity" `Quick
       test_multi_leaf_spine_connectivity;
-    Alcotest.test_case "tracer taps" `Quick test_tracer_records_link_and_switch;
-    Alcotest.test_case "tracer protocols" `Quick test_tracer_describes_protocols;
-    Alcotest.test_case "tracer bounded" `Quick test_tracer_bounded;
-    Alcotest.test_case "monitor throughput" `Quick test_monitor_link_throughput ]
+    Alcotest.test_case "fabric instantiators agree" `Quick
+      test_fabric_instantiators_agree;
+    Alcotest.test_case "partitioned multi-tier runs" `Quick
+      test_partitioned_multi_tier_runs ]
